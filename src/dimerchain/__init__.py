@@ -28,7 +28,6 @@ from .analysis import (
 )
 from .eig import (
     EigenPair,
-    InnerSolveStagnation,
     RestartLimitExceeded,
     SolverConfig,
     Spectrum,

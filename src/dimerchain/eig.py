@@ -1,10 +1,16 @@
 """Eigensolvers for the non-Hermitian effective Hamiltonians.
 
-Dense full decomposition (LAPACK zgeev) for small sectors, and a
+Dense full decomposition (LAPACK zgeev) for small matrices, and a
 shift-invert Krylov-Schur Arnoldi engine that targets the dimer
-asymptotic eigenvalues for large sectors.  The shifted systems are
-solved either by a direct LU factorization or, matrix free, by inner
-restarted GMRES iterations driven by the O(N^2) fast matvec.
+asymptotic eigenvalues of the hard-core two-excitation sector.
+
+The shifted pair-sector systems are solved exactly in O(N^2) memory:
+H2 is the off-diagonal block of the Kronecker sum L(X) = H1 X + X H1 on
+symmetric N x N matrices, so (H2 - sigma)^{-1} is a Schur complement of
+(L - sigma)^{-1}.  The latter is one Sylvester solve in the complex
+Schur basis of H1 (Bartels & Stewart, CACM 15:820, 1972), and the
+complement is an N x N capacitance correction (Hager, SIAM Rev.
+31:221, 1989).  No D x D array is formed, D = N(N-1)/2.
 
 All Hamiltonians here are complex symmetric but non-normal; general
 Arnoldi is used for robustness, and convergence is always judged by the
@@ -16,15 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 DENSE_CAP_DEFAULT = 6000
 
-MODES = ("dense", "si-direct", "si-matfree")
-
-
-class InnerSolveStagnation(RuntimeError):
-    """Inner GMRES failed to reach its tolerance by a wide margin."""
+# the solver_mode that spectra of targeted solves record
+SOLVER_MODE = "si-direct"
 
 
 class RestartLimitExceeded(RuntimeError):
@@ -73,20 +76,13 @@ class Spectrum:
 
 @dataclass
 class SolverConfig:
-    target: complex = 0.0j
     count: int = 6
     max_subspace: int = 0  # 0 means 4*count (min 12)
     tol: float = 1e-10
     max_restarts: int = 200
-    mode: str = "si-direct"
     seed: int = 0
-    inner_rtol_factor: float = 1e-3
-    inner_restart: int = 200
-    inner_maxiter: int = 60  # outer GMRES cycles of length inner_restart
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_subspace and self.count > self.max_subspace:
@@ -135,61 +131,56 @@ def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, meta=None):
     return Spectrum(pairs, md)
 
 
-def _make_shift_solver(apply_H, dim, config, diag=None, precond=None):
-    """Return x -> (H - sigma I)^{-1} x for the configured mode."""
-    sigma = complex(config.target)
-    if config.mode == "si-direct":
-        if not isinstance(apply_H, np.ndarray):
-            raise TypeError("si-direct mode requires a dense matrix")
-        # one Fortran-order copy, shifted on the diagonal in place: an
-        # explicit identity costs another dim^2 floats, and a C-order
-        # array would be copied again inside getrf
-        A = np.asfortranarray(apply_H, dtype=complex)
-        if A is apply_H:
-            A = A.copy(order="F")
-        A.flat[:: dim + 1] -= sigma
-        lu, piv = sla.lu_factor(A, overwrite_a=True, check_finite=False)
+def _make_shift_solver(H1, sigma):
+    """x -> (H2 - sigma)^{-1} x on pair amplitudes, exact.
 
-        def solve(x):
-            return sla.lu_solve((lu, piv), x, check_finite=False)
+    H2 is the hard-core two-excitation sector of the complex symmetric
+    one-excitation Hamiltonian H1, in the row-major pair order of
+    numpy.triu_indices(N, 1).  Set-up is one Schur form of H1 and an
+    N x N capacitance LU; each apply is two Sylvester solves and one
+    N x N LU solve.  The returned callable carries its shift as .sigma.
+    """
+    H1 = np.asarray(H1, dtype=complex)
+    N = H1.shape[0]
+    sigma = complex(sigma)
+    T, Q = sla.schur(H1, output="complex")
+    Ts = T - 0.5 * sigma * np.eye(N)
+    Tc = Ts.conj()
+    Qh, Qc = Q.conj().T, Q.conj()
 
-        return solve
+    def sylvester_schur(C):
+        # Ts Y + Y Ts^T = C; complex trsyl transposes only as 'C', so
+        # conj(Ts) with 'C' supplies Ts^T
+        Y, scale, info = lapack.ztrsyl(Ts, Tc, C, trana="N", tranb="C")
+        if info < 0:
+            raise ValueError(f"ztrsyl: illegal argument {-info}")
+        return Y / scale
 
-    mv = _as_matvec(apply_H)
-    op = spla.LinearOperator(
-        (dim, dim), matvec=lambda x: mv(x) - sigma * x, dtype=complex
-    )
-    # precondition with an approximate shifted inverse when the caller has
-    # one (e.g. the product-space inverse of the two-excitation sector);
-    # fall back to the diagonal, which is a no-op when it is constant
-    M = None
-    if precond is not None:
-        M = spla.LinearOperator((dim, dim), matvec=precond, dtype=complex)
-    elif diag is not None:
-        dvec = np.broadcast_to(np.asarray(diag, dtype=complex), (dim,))
-        M = spla.LinearOperator(
-            (dim, dim), matvec=lambda x: x / (dvec - sigma), dtype=complex
-        )
-    rtol = config.tol * config.inner_rtol_factor
-    stats = {"worst_inner_resid": 0.0, "inner_solves": 0}
+    def shifted_inverse(B):
+        # (L - sigma)^{-1} B with H1 = Q T Q^H = conj(Q) T^T Q^T
+        return Q @ sylvester_schur(Qh @ B @ Qc) @ Q.T
+
+    # capacitance G[:, b] = diag((L - sigma)^{-1} e_b e_b^T): the block of
+    # the inverse on the N double-occupancy coordinates H2 leaves out
+    G = np.empty((N, N), dtype=complex)
+    for b in range(N):
+        Y = sylvester_schur(np.outer(Qc[b], Qc[b]))
+        G[:, b] = np.einsum("ai,ai->a", Q @ Y, Q)
+    lu = sla.lu_factor(G, check_finite=False)
+    iu = np.triu_indices(N, 1)
 
     def solve(x):
-        bnorm = np.linalg.norm(x)
-        y, info = spla.gmres(
-            op, x, rtol=rtol, atol=0.0, restart=config.inner_restart,
-            maxiter=config.inner_maxiter, M=M,
-        )
-        achieved = np.linalg.norm(op.matvec(y) - x) / bnorm
-        stats["inner_solves"] += 1
-        stats["worst_inner_resid"] = max(stats["worst_inner_resid"], achieved)
-        if info > 0 and achieved > 1e3 * rtol:
-            raise InnerSolveStagnation(
-                f"inner GMRES stalled at relative residual {achieved:.2e} "
-                f"(target {rtol:.2e})"
-            )
-        return y
+        X = np.zeros((N, N), dtype=complex)
+        X[iu] = x
+        X.T[iu] = x
+        Y = shifted_inverse(X)
+        # Schur complement: cancel the diagonal that (L - sigma)^{-1}
+        # fills in, so the result solves the hard-core problem
+        c = sla.lu_solve(lu, np.diag(Y), check_finite=False)
+        Y -= shifted_inverse(np.diag(c))
+        return Y[iu]
 
-    solve.stats = stats
+    solve.sigma = sigma
     return solve
 
 
@@ -212,35 +203,24 @@ def _arnoldi_extend(T, V, S, k, m):
     return m
 
 
-def eig_target(apply_H, dim, config, diag=None, precond=None, v0=None):
-    """`count` eigenpairs of H nearest config.target.
+def eig_target(apply_H, dim, config, solve, v0=None):
+    """`count` eigenpairs of H nearest the shift of `solve`.
 
-    apply_H is a dense matrix (dense / si-direct modes) or a matvec
-    closure (si-matfree).  precond, if given, applies an approximate
-    (H - sigma)^{-1} inside the inner GMRES iterations.  v0 overrides
-    the seeded random starting vector (warm starts across a sweep).
-    Residuals are true ||H v - lambda v|| norms.
+    apply_H is a dense matrix or a matvec (closure or object with
+    .matvec) used for the true residuals ||H v - lambda v||.  solve
+    applies (H - solve.sigma)^{-1}, as made by _make_shift_solver; one
+    solver serves every call at the same shift.  v0 overrides the seeded
+    random starting vector (warm starts across a sweep).
     """
     t0 = time.perf_counter()
-    sigma = complex(config.target)
-    if config.mode == "dense":
-        if not isinstance(apply_H, np.ndarray):
-            raise TypeError("dense mode requires a dense matrix")
-        spec = eig_dense_all(apply_H)
-        order = np.argsort(np.abs(spec.eigenvalues - sigma), kind="stable")
-        pairs = [spec.pairs[i] for i in order[: config.count]]
-        return Spectrum(pairs, {"solver_mode": "dense", "dim": dim,
-                                "target": sigma,
-                                "wall_time": time.perf_counter() - t0})
-
+    sigma = solve.sigma
     mv = _as_matvec(apply_H)
     if dim == 1:
         e1 = np.ones(1, dtype=complex)
         lam = complex(mv(e1)[0])
         return Spectrum([EigenPair(lam, e1, 0.0)],
-                        {"solver_mode": config.mode, "dim": 1, "target": sigma,
+                        {"solver_mode": SOLVER_MODE, "dim": 1, "target": sigma,
                          "wall_time": time.perf_counter() - t0})
-    solve = _make_shift_solver(apply_H, dim, config, diag=diag, precond=precond)
     m = min(config.subspace, dim - 1)
     count = min(config.count, max(1, m - 1))
 
@@ -277,18 +257,15 @@ def eig_target(apply_H, dim, config, diag=None, precond=None, v0=None):
         if len(sel) >= count and np.all(res <= config.tol):
             pairs = [EigenPair(complex(lam[i]), X[:, i].copy(), float(res[i]))
                      for i in range(len(sel))]
-            meta = {
-                "solver_mode": config.mode, "dim": dim, "target": sigma,
+            return Spectrum(pairs, {
+                "solver_mode": SOLVER_MODE, "dim": dim, "target": sigma,
                 "restarts": restart, "op_solves": n_solves,
                 "wall_time": time.perf_counter() - t0,
-            }
-            if hasattr(solve, "stats"):
-                meta.update(solve.stats)
-            return Spectrum(pairs, meta)
+            })
         if reached < m:  # invariant subspace smaller than requested count
             pairs = [EigenPair(complex(lam[i]), X[:, i].copy(), float(res[i]))
                      for i in range(len(sel))]
-            return Spectrum(pairs, {"solver_mode": config.mode, "dim": dim,
+            return Spectrum(pairs, {"solver_mode": SOLVER_MODE, "dim": dim,
                                     "target": sigma, "restarts": restart,
                                     "op_solves": n_solves, "invariant": True,
                                     "wall_time": time.perf_counter() - t0})
@@ -330,10 +307,9 @@ def eig_target(apply_H, dim, config, diag=None, precond=None, v0=None):
 
 
 def nearest_match(values, targets):
-    """Index into `values` of the nearest value for each target.
+    """Indices into `values` of the nearest value for each target (a list).
 
-    Collision check: raises if two targets claim the same value while
-    another distinct value is farther; ties break toward smaller decay.
+    Equally near values break the tie toward smaller decay.
     """
     values = np.asarray(values)
     out = []
@@ -344,4 +320,4 @@ def nearest_match(values, targets):
         if len(close) > 1:
             i = int(close[np.argmax([values[j].imag for j in close])])
         out.append(i)
-    return out if len(out) > 1 else out[0]
+    return out

@@ -8,7 +8,8 @@ named <experiment>-<confighash>.<ext>.
 import argparse
 import sys
 
-from .config import EXPERIMENTS, SOLVER_MODES, ConfigError, load_config
+from ..eig import RestartLimitExceeded
+from .config import EXPERIMENTS, ConfigError, load_config
 from .runner import COMMANDS
 
 
@@ -27,8 +28,6 @@ def build_parser():
                         help="output directory (overrides config)")
         sp.add_argument("--seed", type=int, default=None,
                         help="RNG seed, u64 (overrides config)")
-        sp.add_argument("--solver", choices=list(SOLVER_MODES), default=None,
-                        help="solver mode (overrides config)")
         sp.add_argument("--jobs", type=int, default=None,
                         help="parallel worker processes (overrides config)")
     return p
@@ -36,8 +35,7 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    overrides = {"out": args.out, "seed": args.seed, "jobs": args.jobs,
-                 "solver_mode": args.solver}
+    overrides = {"out": args.out, "seed": args.seed, "jobs": args.jobs}
     try:
         cfg = load_config(args.config, experiment=args.experiment,
                           overrides=overrides)
@@ -45,6 +43,9 @@ def main(argv=None):
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RestartLimitExceeded as e:
+        print(f"error: eigensolver: {e}", file=sys.stderr)
+        return 1
     print(paths["csv"])
     return 0
 

@@ -23,11 +23,17 @@ EXPERIMENTS = (
     "map-check",
 )
 
+# accepted for existing config files; the value selects nothing, since
+# full spectra are always dense and every other search is targeted
 SOLVER_MODES = ("dense", "si-direct", "si-matfree")
 
-# desk-scale caps for the two-excitation sector (pair dimension N(N-1)/2)
+# full dense two-excitation spectra (pair dimension N(N-1)/2) up to this N
 DENSE_TWOEXC_CAP = 70
-DIRECT_TWOEXC_CAP = 150
+
+# experiments that use the dimer asymptotics or the defect secular
+# equation, both defined for kd < pi/2 (map-check only when N is given)
+_HALF_PI_EXPERIMENTS = ("spectrum", "phase-diagram", "scaling", "defect",
+                        "disorder")
 
 
 class ConfigError(ValueError):
@@ -36,12 +42,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SolverSettings:
-    mode: str = "si-direct"
     tol: float = 1e-10
     count: int = 8
     max_restarts: int = 200
     max_subspace: int = 0
-    fallback: bool = False  # allow falling past a desk cap to the next mode
+    fallback: bool = False  # spectrum past the dense cap: targeted partial
 
 
 @dataclass(frozen=True)
@@ -117,6 +122,12 @@ def _as_int_list(value, where):
     return (int(value),)
 
 
+def _as_bool(value, where):
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, not {value!r}")
+    return value
+
+
 def _as_float_list(value, where):
     if isinstance(value, (list, tuple)):
         out = tuple(float(v) for v in value)
@@ -147,16 +158,15 @@ def parse_config(doc, experiment=None):
     if not isinstance(solver_doc, dict):
         raise ConfigError("solver must be an object")
     _reject_unknown(solver_doc, _SOLVER_KEYS, "solver")
+    if solver_doc.get("mode", "si-direct") not in SOLVER_MODES:
+        raise ConfigError(f"solver.mode must be one of {SOLVER_MODES}")
     solver = SolverSettings(
-        mode=str(solver_doc.get("mode", "si-direct")),
         tol=float(solver_doc.get("tol", 1e-10)),
         count=int(solver_doc.get("count", 8)),
         max_restarts=int(solver_doc.get("max_restarts", 200)),
         max_subspace=int(solver_doc.get("max_subspace", 0)),
-        fallback=bool(solver_doc.get("fallback", False)),
+        fallback=_as_bool(solver_doc.get("fallback", False), "solver.fallback"),
     )
-    if solver.mode not in SOLVER_MODES:
-        raise ConfigError(f"solver.mode must be one of {SOLVER_MODES}")
     if solver.tol <= 0:
         raise ConfigError("solver.tol must be positive")
     if solver.count < 1:
@@ -210,7 +220,7 @@ def parse_config(doc, experiment=None):
         seed=seed,
         out=str(doc.get("out", "runs")),
         jobs=jobs,
-        dump_vectors=bool(doc.get("dump_vectors", False)),
+        dump_vectors=_as_bool(doc.get("dump_vectors", False), "dump_vectors"),
         M=_as_int_list(doc.get("M", [1, 2, 5, 10, 30]), "M"),
         Kd_over_pi=_as_float_list(doc.get("Kd_over_pi", [0.0, 1.0]),
                                   "Kd_over_pi"),
@@ -218,13 +228,17 @@ def parse_config(doc, experiment=None):
     for kd in cfg.kd_values:
         if not 0.0 < kd < np.pi:
             raise ConfigError("kd_over_pi values must lie in (0, 1)")
+    if exp in _HALF_PI_EXPERIMENTS or (exp == "map-check" and cfg.N):
+        if max(cfg.kd_over_pi) >= 0.5:
+            raise ConfigError(f"kd_over_pi values must lie in (0, 0.5) for "
+                              f"{exp}: its asymptotics need kd < pi/2")
     return cfg
 
 
 def load_config(path, experiment=None, overrides=None):
     """Read and validate a config file, applying CLI overrides.
 
-    overrides: dict with optional keys out, seed, solver_mode, jobs.
+    overrides: dict with optional keys out, seed, jobs.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -241,8 +255,4 @@ def load_config(path, experiment=None, overrides=None):
         doc["seed"] = overrides["seed"]
     if overrides.get("jobs") is not None:
         doc["jobs"] = overrides["jobs"]
-    if overrides.get("solver_mode") is not None:
-        solver = dict(doc.get("solver", {}))
-        solver["mode"] = overrides["solver_mode"]
-        doc["solver"] = solver
     return parse_config(doc, experiment=experiment)

@@ -6,11 +6,13 @@ sidecar, optional supplementary per-grid-point tables, optional
 eigenvector dumps, and an SVG plot.  Reruns with the same config and
 seed are byte-identical except for wall-time columns.
 
-Desk-scale caps: full dense two-excitation spectra up to N = 70; the
-LU-based shift-invert to N = 150; the matrix-free engine beyond.  A
-command that would exceed a cap raises unless solver.fallback is set,
-in which case it drops to the next mode (for full spectra: a targeted
-partial spectrum around the dimer eigenvalues, flagged in metadata).
+Two-excitation states come from one of two solvers.  Full spectra
+(`spectrum`) are dense zgeev up to N = 70; past that cap a run raises
+unless solver.fallback is set, in which case it returns the targeted
+partial spectrum around both dimer eigenvalues (flagged in metadata).
+Every other two-excitation search is targeted: Krylov-Schur on the
+exact structured shift-invert of eig._make_shift_solver, with O(N^2)
+memory and no cap on N.
 """
 
 import os
@@ -32,7 +34,7 @@ from ..model import (
     build_single_hamiltonian,
     build_two_hamiltonian,
 )
-from .config import DENSE_TWOEXC_CAP, DIRECT_TWOEXC_CAP, ConfigError
+from .config import DENSE_TWOEXC_CAP, ConfigError
 from .records import make_record, write_meta, write_records, write_table, write_vectors
 from .svg import heatmap, line_plot
 
@@ -66,49 +68,16 @@ def _finish(cfg, paths, records, meta, tables=None, vectors=None):
     return paths
 
 
-def _effective_mode(cfg, N):
-    """Solver mode for a two-excitation solve of chain size N."""
-    mode = cfg.solver.mode
-    if mode == "dense" and N > DENSE_TWOEXC_CAP:
-        if not cfg.solver.fallback:
-            raise ConfigError(
-                f"dense two-excitation cap exceeded (N={N} > "
-                f"{DENSE_TWOEXC_CAP}) without iterative fallback enabled"
-            )
-        mode = "si-direct"
-    if mode == "si-direct" and N > DIRECT_TWOEXC_CAP:
-        if not cfg.solver.fallback:
-            raise ConfigError(
-                f"shift-invert direct cap exceeded (N={N} > "
-                f"{DIRECT_TWOEXC_CAP}); enable solver.fallback for "
-                "matrix-free solves"
-            )
-        mode = "si-matfree"
-    return mode
-
-
-def _solver_config(cfg, target, mode, count=None):
-    return eig.SolverConfig(
-        target=complex(target),
+def _targeted_two_exc(op, solve, cfg, count=None, v0=None):
+    """Eigenpairs of the two-excitation sector nearest solve.sigma."""
+    sc = eig.SolverConfig(
         count=count if count is not None else cfg.solver.count,
         tol=cfg.solver.tol,
         max_restarts=cfg.solver.max_restarts,
         max_subspace=cfg.solver.max_subspace,
-        mode=mode,
         seed=cfg.seed,
     )
-
-
-def _targeted_two_exc(chain, cfg, target, mode, count=None, v0=None):
-    """Eigenpairs of the two-excitation sector nearest `target`."""
-    basis = TwoExcitationBasis(chain.N)
-    sc = _solver_config(cfg, target, mode, count)
-    if mode == "si-matfree":
-        op = TwoExcitationWaveguideOp(chain, basis)
-        return eig.eig_target(op.matvec, basis.dim, sc, diag=op.diagonal(),
-                              precond=op.shift_preconditioner(target), v0=v0)
-    H2 = build_two_hamiltonian(chain, basis=basis)
-    return eig.eig_target(H2, basis.dim, sc, v0=v0)
+    return eig.eig_target(op, op.dim, sc, solve, v0=v0)
 
 
 # position disorder broadens the K wavepacket of a dimer without touching
@@ -118,14 +87,14 @@ DISORDER_THRESHOLDS = analysis.ClassifierThresholds(
     concentration_min=0.25, concentration_bins=4)
 
 
-def find_dimer(chain, dimer_type, cfg, mode, ferm=None, basis=None, v0=None,
+def find_dimer(chain, dimer_type, cfg, ferm=None, basis=None, v0=None,
                thresholds=None):
     """Most subradiant DimerI / DimerII state near its asymptotic value.
 
     Classifies the eigenpairs returned by a targeted solve; escalates the
-    count once if the first batch contains no state with the wanted
-    label.  Returns (pair, state_class, spectrum) or (None, None, last
-    spectrum) when the label is absent.
+    count once, on the same shift-invert set-up, if the first batch
+    contains no state with the wanted label.  Returns (pair, state_class,
+    spectrum) or (None, None, last spectrum) when the label is absent.
     """
     label = analysis.DIMER_I if dimer_type == "I" else analysis.DIMER_II
     th = theory.asymptotic_dimer(chain.kd, dimer_type, chain.gamma1d)
@@ -133,9 +102,11 @@ def find_dimer(chain, dimer_type, cfg, mode, ferm=None, basis=None, v0=None,
         ferm = analysis.fermionic_basis(chain)
     if basis is None:
         basis = TwoExcitationBasis(chain.N)
+    op = TwoExcitationWaveguideOp(chain, basis)
+    solve = eig._make_shift_solver(build_single_hamiltonian(chain), th.omega)
     spec = None
     for count in (cfg.solver.count, 4 * cfg.solver.count):
-        spec = _targeted_two_exc(chain, cfg, th.omega, mode, count=count, v0=v0)
+        spec = _targeted_two_exc(op, solve, cfg, count=count, v0=v0)
         classes = [analysis.classify_state(p, chain, ferm=ferm, basis=basis,
                                            thresholds=thresholds)
                    for p in spec.pairs]
@@ -197,9 +168,9 @@ def cmd_spectrum(cfg):
             basis = TwoExcitationBasis(N) if N >= 2 else None
             if basis is None:
                 raise ConfigError("spectrum needs N >= 2")
-            # full spectra are dense work regardless of the configured
-            # mode; past the cap the run degrades to a targeted partial
-            # spectrum around both dimer branches (flagged in metadata)
+            # full spectra are dense; past the cap the run degrades to a
+            # targeted partial spectrum around both dimer branches
+            # (flagged in metadata)
             partial = N > DENSE_TWOEXC_CAP
             if partial and not cfg.solver.fallback:
                 raise ConfigError(
@@ -215,11 +186,13 @@ def cmd_spectrum(cfg):
                 trace_gap = abs(np.sum(spec.eigenvalues) - np.trace(H2)) / max(
                     abs(np.trace(H2)), 1e-300)
             else:
-                mode = _effective_mode(cfg, N)
+                op = TwoExcitationWaveguideOp(chain, basis)
+                H1 = build_single_hamiltonian(chain)
                 seen, pairs = set(), []
                 for t in ("I", "II"):
                     om = theory.asymptotic_dimer(kd, t, cfg.gamma).omega
-                    sp = _targeted_two_exc(chain, cfg, om, mode)
+                    sp = _targeted_two_exc(
+                        op, eig._make_shift_solver(H1, om), cfg)
                     for p in sp.pairs:
                         key = (round(p.lam.real, 9), round(p.lam.imag, 9))
                         if key not in seen:
@@ -230,7 +203,7 @@ def cmd_spectrum(cfg):
             ferm = analysis.fermionic_basis(chain)
             classes = [analysis.classify_state(p, chain, ferm=ferm, basis=basis)
                        for p in pairs]
-            mode_used = "dense" if not partial else mode
+            mode_used = "dense" if not partial else eig.SOLVER_MODE
             for p, c in zip(pairs, classes):
                 records.append(make_record(
                     "spectrum", N, kd, "two-exc", c.label, p.lam, mode_used,
@@ -278,11 +251,10 @@ def _phase_point(args):
     chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
     one, wall1 = _one_exc_min(chain)
     baseline = analysis.fermionic_reference(chain)
-    mode = _effective_mode(cfg, N)
     t0 = time.perf_counter()
-    pair, cls, _ = find_dimer(chain, "II", cfg, mode)
+    pair, cls, _ = find_dimer(chain, "II", cfg)
     wall2 = time.perf_counter() - t0
-    return (N, kd_over_pi, kd, one, wall1, baseline, pair, cls, wall2, mode)
+    return (N, kd_over_pi, kd, one, wall1, baseline, pair, cls, wall2)
 
 
 def cmd_phase_diagram(cfg):
@@ -295,15 +267,14 @@ def cmd_phase_diagram(cfg):
     results = _pmap(_phase_point, tasks, cfg.jobs)
     records, rows = [], []
     rateII = {}
-    for (N, kd_over_pi, kd, one, wall1, baseline, pair, cls, wall2,
-         mode) in results:
+    for (N, kd_over_pi, kd, one, wall1, baseline, pair, cls, wall2) in results:
         records.append(make_record(
             "phase-diagram", N, kd, "one-exc", "one-exc", one.lam, "dense",
             one.residual, wall1, cfg.seed))
         if pair is not None:
             records.append(make_record(
-                "phase-diagram", N, kd, "two-exc", cls.label, pair.lam, mode,
-                pair.residual, wall2, cfg.seed))
+                "phase-diagram", N, kd, "two-exc", cls.label, pair.lam,
+                eig.SOLVER_MODE, pair.residual, wall2, cfg.seed))
             rII = pair.decay_rate
         else:
             rII = None
@@ -359,25 +330,24 @@ def cmd_scaling(cfg):
                 one.residual, wall1, cfg.seed))
             series.setdefault((kd_over_pi, "one-exc"), []).append(
                 (N, one.decay_rate))
-            mode = _effective_mode(cfg, N)
             for t in ("I", "II"):
                 t0 = time.perf_counter()
                 v0 = warm[t]
-                pair, cls, _ = find_dimer(chain, t, cfg, mode, ferm=ferm,
+                pair, cls, _ = find_dimer(chain, t, cfg, ferm=ferm,
                                           basis=basis, v0=v0)
                 wall = time.perf_counter() - t0
                 name = "DimerI" if t == "I" else "DimerII"
                 if pair is None:
-                    rows.append([N, kd_over_pi, name, "", "", mode])
+                    rows.append([N, kd_over_pi, name, "", "", eig.SOLVER_MODE])
                     warm[t] = None
                     continue
                 records.append(make_record(
-                    "scaling", N, kd, "two-exc", cls.label, pair.lam, mode,
-                    pair.residual, wall, cfg.seed))
+                    "scaling", N, kd, "two-exc", cls.label, pair.lam,
+                    eig.SOLVER_MODE, pair.residual, wall, cfg.seed))
                 series.setdefault((kd_over_pi, name), []).append(
                     (N, pair.decay_rate))
                 rows.append([N, kd_over_pi, name, pair.lam.real,
-                             pair.decay_rate, mode])
+                             pair.decay_rate, eig.SOLVER_MODE])
                 if N != sorted(cfg.N)[-1]:
                     nxt = sorted(cfg.N)[sorted(cfg.N).index(N) + 1]
                     warm[t] = _embed_pair_vector(
@@ -501,12 +471,10 @@ def _disorder_point(args):
     offsets = disorder_offsets(cfg.seed, sample, N, cfg.disorder.delta)
     chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma,
                                   offsets=tuple(offsets))
-    mode = _effective_mode(cfg, N)
     t0 = time.perf_counter()
-    pair, cls, _ = find_dimer(chain, "II", cfg, mode,
-                              thresholds=DISORDER_THRESHOLDS)
+    pair, cls, _ = find_dimer(chain, "II", cfg, thresholds=DISORDER_THRESHOLDS)
     wall = time.perf_counter() - t0
-    return (N, kd_over_pi, kd, sample, pair, cls, wall, mode)
+    return (N, kd_over_pi, kd, sample, pair, cls, wall)
 
 
 def cmd_disorder(cfg):
@@ -521,15 +489,15 @@ def cmd_disorder(cfg):
     for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values):
         for N in cfg.N:
             chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-            mode = _effective_mode(cfg, N)
             t0 = time.perf_counter()
-            pair, cls, _ = find_dimer(chain, "II", cfg, mode,
+            pair, cls, _ = find_dimer(chain, "II", cfg,
                                       thresholds=DISORDER_THRESHOLDS)
             wall = time.perf_counter() - t0
             if pair is not None:
                 records.append(make_record(
-                    "disorder", N, kd, "two-exc", cls.label, pair.lam, mode,
-                    pair.residual, wall, cfg.seed, sample_index=-1))
+                    "disorder", N, kd, "two-exc", cls.label, pair.lam,
+                    eig.SOLVER_MODE, pair.residual, wall, cfg.seed,
+                    sample_index=-1))
             clean[(kd_over_pi, N)] = (pair.decay_rate if pair is not None
                                       else None)
     tasks = [(N, kd_over_pi, kd, s, cfg)
@@ -537,13 +505,13 @@ def cmd_disorder(cfg):
              for N in cfg.N
              for s in range(cfg.disorder.samples)]
     results = _pmap(_disorder_point, tasks, cfg.jobs)
-    for (N, kd_over_pi, kd, sample, pair, cls, wall, mode) in results:
+    for (N, kd_over_pi, kd, sample, pair, cls, wall) in results:
         cl = clean[(kd_over_pi, N)]
         if pair is None:
             rows.append([N, kd_over_pi, sample, "", cl if cl else "", ""])
             continue
         records.append(make_record(
-            "disorder", N, kd, "two-exc", cls.label, pair.lam, mode,
+            "disorder", N, kd, "two-exc", cls.label, pair.lam, eig.SOLVER_MODE,
             pair.residual, wall, cfg.seed, sample_index=sample))
         rows.append([N, kd_over_pi, sample, pair.decay_rate,
                      cl if cl is not None else "",
@@ -708,8 +676,7 @@ def cmd_mapcheck(cfg):
     for N in cfg.N:
         for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values):
             chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-            mode = _effective_mode(cfg, N)
-            pair, cls, _ = find_dimer(chain, "I", cfg, mode)
+            pair, cls, _ = find_dimer(chain, "I", cfg)
             if pair is None:
                 continue
             dec = analysis.k_delta_decompose(pair.vector, chain)

@@ -272,45 +272,8 @@ class TwoExcitationWaveguideOp:
     __call__ = matvec
 
     def diagonal(self):
-        """Diagonal of H2 (all entries -i*Gamma), for preconditioning."""
+        """Diagonal of H2 (all entries -i*Gamma)."""
         return np.full(self.dim, -1j * self.gamma)
-
-    def shift_preconditioner(self, sigma):
-        """Approximate (H2 - sigma)^{-1} from the product-space structure.
-
-        H2 is the compression of H1 (x) I + I (x) H1 onto symmetric
-        zero-diagonal pair matrices, so the exactly invertible shifted
-        product operator, applied in the one-excitation eigenbasis with
-        denominators lambda_i + lambda_j - sigma, is a strong inner
-        preconditioner: the compression differs from H2 only through the
-        excluded double-occupancy diagonal.
-        """
-        H1 = build_single_hamiltonian(self.chain)
-        lam, U = np.linalg.eig(H1)
-        Uinv = np.linalg.inv(U)
-        denom = lam[:, None] + lam[None, :] - complex(sigma)
-        # keep it finite if sigma lands on a product eigenvalue
-        tiny = np.abs(denom) < 1e-14
-        denom = np.where(tiny, 1e-14, denom)
-        basis = self.basis
-
-        def apply(x):
-            Psi = basis.to_matrix(x)
-            X = (Uinv @ Psi @ Uinv.T) / denom
-            return basis.from_matrix(U @ X @ U.T)
-
-        return apply
-
-
-def apply_two_fast(chain, basis, psi, kernel=None):
-    """Fast two-excitation matvec; waveguide kernels only."""
-    if kernel is not None and not isinstance(kernel, Waveguide1D):
-        raise ValueError("fast application requires the 1D waveguide kernel")
-    if kernel is not None and (
-        kernel.k1d != chain.k1d or kernel.gamma1d != chain.gamma1d
-    ):
-        raise ValueError("kernel parameters must match the chain")
-    return TwoExcitationWaveguideOp(chain, basis).matvec(psi)
 
 
 @dataclass(frozen=True)

@@ -63,7 +63,7 @@ def dimer_states_n100():
     """Targeted DimerI / DimerII eigenpairs at N = 100, kd/pi in {0.2, 0.25},
     with their K-Delta decompositions (shared by A3 and A4)."""
     cfg = RunConfig(experiment="spectrum", seed=0,
-                    solver=SolverSettings(mode="si-direct"))
+                    solver=SolverSettings())
     N = 100
     basis = TwoExcitationBasis(N)
     out = {}
@@ -72,8 +72,7 @@ def dimer_states_n100():
         ferm = analysis.fermionic_basis(chain)
         for dimer_type in ("I", "II"):
             pair, cls, _ = runner.find_dimer(chain, dimer_type, cfg,
-                                             "si-direct", ferm=ferm,
-                                             basis=basis)
+                                             ferm=ferm, basis=basis)
             if pair is None:
                 raise RuntimeError(
                     f"Dimer{dimer_type} not found at kd = {kd_over_pi} pi")
@@ -87,7 +86,7 @@ def scaling_run(tmp_path_factory):
     """Full scaling sweep at kd = 0.1676 pi, N = 50..150 step 10 (A5)."""
     cfg = RunConfig(experiment="scaling", N=tuple(range(50, 151, 10)),
                     kd_over_pi=(0.1676,), seed=7,
-                    solver=SolverSettings(mode="si-direct"),
+                    solver=SolverSettings(),
                     out=str(tmp_path_factory.mktemp("scaling")))
     t0 = time.perf_counter()
     paths = runner.cmd_scaling(cfg)
@@ -102,7 +101,7 @@ def dimer_ii_rates_consecutive():
     warm-starting each size from the previous eigenvector (A7)."""
     kd = 0.25 * np.pi
     cfg = RunConfig(experiment="scaling", seed=0,
-                    solver=SolverSettings(mode="si-direct"))
+                    solver=SolverSettings())
     sizes = np.arange(60, 121)
     rates, prev = [], None
     for N in sizes:
@@ -111,7 +110,7 @@ def dimer_ii_rates_consecutive():
         v0 = None
         if prev is not None:
             v0 = runner._embed_pair_vector(prev[0], prev[1], basis)
-        pair, _, _ = runner.find_dimer(chain, "II", cfg, "si-direct",
+        pair, _, _ = runner.find_dimer(chain, "II", cfg,
                                        basis=basis, v0=v0)
         if pair is None:
             raise RuntimeError(f"DimerII not found at N={N}")
@@ -146,7 +145,7 @@ def test_a2_dimer_i_energy_convergence():
         kd = 0.2 * np.pi
         target = theory.asymptotic_dimer(kd, "I").omega  # 2 cot(kd)
         cfg = RunConfig(experiment="scaling", seed=0,
-                        solver=SolverSettings(mode="si-direct"))
+                        solver=SolverSettings())
         gaps, prev, wall = [], None, 0.0
         for N in (60, 90, 120):
             chain = ChainGeometry.from_kd(N, kd)
@@ -155,7 +154,7 @@ def test_a2_dimer_i_energy_convergence():
             if prev is not None:
                 v0 = runner._embed_pair_vector(prev[0], prev[1], basis)
             t0 = time.perf_counter()
-            pair, _, _ = runner.find_dimer(chain, "I", cfg, "si-direct",
+            pair, _, _ = runner.find_dimer(chain, "I", cfg,
                                            basis=basis, v0=v0)
             wall += time.perf_counter() - t0
             if pair is None:
@@ -227,7 +226,7 @@ def test_a5_scaling_exponents(scaling_run):
         # finite-size transient is gone at these sizes
         kd = 0.25 * np.pi
         cfg = RunConfig(experiment="scaling", seed=0,
-                        solver=SolverSettings(mode="si-direct", count=32))
+                        solver=SolverSettings(count=32))
         sizes, rates, prev = list(range(50, 151, 10)), [], None
         t0 = time.perf_counter()
         for N in sizes:
@@ -236,7 +235,7 @@ def test_a5_scaling_exponents(scaling_run):
             v0 = None
             if prev is not None:
                 v0 = runner._embed_pair_vector(prev[0], prev[1], basis)
-            pair, _, _ = runner.find_dimer(chain, "I", cfg, "si-direct",
+            pair, _, _ = runner.find_dimer(chain, "I", cfg,
                                            basis=basis, v0=v0)
             if pair is None:
                 return False, f"DimerI not found at N={N}"
@@ -331,7 +330,7 @@ def test_a9_disorder_robustness(tmp_path):
         cfg = RunConfig(experiment="disorder", N=(60,), kd_over_pi=kds,
                         seed=202608,
                         disorder=DisorderSettings(delta=0.01, samples=10),
-                        solver=SolverSettings(mode="si-direct"),
+                        solver=SolverSettings(),
                         out=str(tmp_path))
         paths = runner.cmd_disorder(cfg)
         with open(paths["table"], newline="") as fh:

@@ -1,4 +1,5 @@
-"""Eigensolvers: dense reference, shift-invert Krylov-Schur, matrix-free.
+"""Eigensolvers: dense reference and the structured shift-invert
+Krylov-Schur solver of the two-excitation sector.
 
 Targeted solves are validated against the full dense spectrum on sizes
 where both are cheap; determinism and shift invariance are contract
@@ -11,10 +12,10 @@ import pytest
 from dimerchain import theory
 from dimerchain.eig import (
     EigenPair,
-    InnerSolveStagnation,
     RestartLimitExceeded,
     SolverConfig,
     Spectrum,
+    _make_shift_solver,
     eig_dense_all,
     eig_target,
     nearest_match,
@@ -32,6 +33,17 @@ from dimerchain.model import (
 def two_exc(N, kd_pi):
     chain = ChainGeometry.from_kd(N, kd_pi * np.pi)
     return chain, build_two_hamiltonian(chain)
+
+
+def targeted(chain, sigma, cfg, v0=None):
+    """Structured shift-invert solve of the chain's two-excitation sector."""
+    op = TwoExcitationWaveguideOp(chain)
+    solve = _make_shift_solver(build_single_hamiltonian(chain), sigma)
+    return eig_target(op, op.dim, cfg, solve, v0=v0)
+
+
+def nearest_dense(full, sigma, count):
+    return np.array(sorted(full.eigenvalues, key=lambda l: abs(l - sigma))[:count])
 
 
 # ------------------------------------------------------------ dense
@@ -89,113 +101,127 @@ def test_dense_cap_enforced():
 
 
 def test_target_dim_one():
-    spec = eig_target(np.array([[-0.5j]]), 1, SolverConfig(target=0.0))
-    assert spec[0].lam == -0.5j
-
-
-def test_target_dense_mode_nearest():
-    _, H2 = two_exc(16, 0.25)
-    full = eig_dense_all(H2)
-    sigma = 1.0 - 0.05j
-    cfg = SolverConfig(target=sigma, count=4, mode="dense")
-    spec = eig_target(H2, H2.shape[0], cfg)
-    assert len(spec) == 4
-    want = sorted(full.eigenvalues, key=lambda l: abs(l - sigma))[:4]
-    assert np.allclose(sorted(spec.eigenvalues, key=lambda l: abs(l - sigma)),
-                       sorted(want, key=lambda l: abs(l - sigma)), atol=1e-12)
+    # N = 2 has the single pair state (0, 1), with eigenvalue -i*Gamma
+    chain = ChainGeometry.from_kd(2, 0.25 * np.pi)
+    spec = targeted(chain, 0.0, SolverConfig())
+    assert len(spec) == 1 and spec[0].lam == pytest.approx(-1j, abs=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["si-direct", "si-matfree"])
 def test_target_matches_dense(mode):
-    # N = 48 at the shallow-dip wavenumber; target the type-I dimer line
+    # N = 48 at the shallow-dip wavenumber; target the type-I dimer line.
+    # The structured shift solver is the same in both cases; the residuals
+    # are taken with the dense H2 ("si-direct") or the matrix-free operator
     kd = 0.1676 * np.pi
     chain, H2 = two_exc(48, 0.1676)
     sigma = 2.0 / np.tan(kd)
-    cfg = SolverConfig(target=sigma, count=6, mode=mode)
+    cfg = SolverConfig(count=6)
+    solve = _make_shift_solver(build_single_hamiltonian(chain), sigma)
     if mode == "si-matfree":
         op = TwoExcitationWaveguideOp(chain)
-        spec = eig_target(op, op.dim, cfg, diag=op.diagonal(),
-                          precond=op.shift_preconditioner(sigma))
+        spec = eig_target(op, op.dim, cfg, solve)
     else:
-        spec = eig_target(H2, H2.shape[0], cfg)
+        spec = eig_target(H2, H2.shape[0], cfg, solve)
     full = eig_dense_all(H2)
-    want = np.array(sorted(full.eigenvalues, key=lambda l: abs(l - sigma))[:6])
     got = spec.eigenvalues
-    for w in want:
+    for w in nearest_dense(full, sigma, 6):
         assert np.min(np.abs(got - w)) < 1e-9
     assert max(p.residual for p in spec.pairs) < 1e-9
-    assert spec.meta["solver_mode"] == mode
+    assert all(residual_norm(H2, p) < 1e-9 for p in spec.pairs)
+    assert spec.meta["solver_mode"] == "si-direct"
+
+
+@pytest.mark.parametrize("kd_over_pi", [0.1, 0.1676, 0.2, 0.25, 0.3, 0.45])
+def test_target_matches_dense_kd_grid(kd_over_pi):
+    # N = 48 at both dimer shifts, near and across the EPR point pi/4
+    chain, H2 = two_exc(48, kd_over_pi)
+    full = eig_dense_all(H2)
+    cfg = SolverConfig(count=6)
+    for dimer_type in ("I", "II"):
+        sigma = theory.asymptotic_dimer(chain.kd, dimer_type).omega
+        spec = targeted(chain, sigma, cfg)
+        for w in nearest_dense(full, sigma, 6):
+            assert np.min(np.abs(spec.eigenvalues - w)) <= 1e-10
+        for p in spec.pairs:
+            assert p.residual <= cfg.tol
+            assert residual_norm(H2, p) <= cfg.tol
+        assert spec.meta["solver_mode"] == "si-direct"
+        assert spec.meta["target"] == sigma
+
+
+def test_target_matches_dense_disordered():
+    # the solver needs only a symmetric H1: position disorder included
+    kd = 0.1676 * np.pi
+    offsets = np.random.default_rng(5).uniform(-0.01, 0.01, 48)
+    chain = ChainGeometry.from_kd(48, kd, offsets=tuple(offsets))
+    H2 = build_two_hamiltonian(chain)
+    full = eig_dense_all(H2)
+    cfg = SolverConfig(count=6)
+    for dimer_type in ("I", "II"):
+        sigma = theory.asymptotic_dimer(kd, dimer_type).omega
+        spec = targeted(chain, sigma, cfg)
+        for w in nearest_dense(full, sigma, 6):
+            assert np.min(np.abs(spec.eigenvalues - w)) <= 1e-10
+        assert all(residual_norm(H2, p) <= cfg.tol for p in spec.pairs)
+
+
+def test_shift_solver_inverts_the_pair_sector():
+    chain, H2 = two_exc(12, 0.2)
+    sigma = 0.3 - 0.01j
+    solve = _make_shift_solver(build_single_hamiltonian(chain), sigma)
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal(H2.shape[0]) + 1j * rng.standard_normal(H2.shape[0])
+    want = np.linalg.solve(H2 - sigma * np.eye(H2.shape[0]), x)
+    assert np.linalg.norm(solve(x) - want) <= 1e-11 * np.linalg.norm(want)
+    assert solve.sigma == sigma
 
 
 def test_target_shift_invariance():
-    _, H2 = two_exc(30, 0.25)
+    chain = ChainGeometry.from_kd(30, 0.25 * np.pi)
     lam = {}
     for ds in (0.0, 0.01):
-        cfg = SolverConfig(target=0.0 + ds, count=4, mode="si-direct")
-        spec = eig_target(H2, H2.shape[0], cfg)
+        spec = targeted(chain, 0.0 + ds, SolverConfig(count=4))
         key = np.argsort(np.abs(spec.eigenvalues))
         lam[ds] = spec.eigenvalues[key]
     assert np.max(np.abs(lam[0.0] - lam[0.01])) < 1e-9
 
 
 def test_target_deterministic_rerun():
-    _, H2 = two_exc(24, 0.2)
-    cfg = SolverConfig(target=2.0 / np.tan(0.2 * np.pi), count=4, seed=11)
-    a = eig_target(H2, H2.shape[0], cfg)
-    b = eig_target(H2, H2.shape[0], cfg)
+    chain = ChainGeometry.from_kd(24, 0.2 * np.pi)
+    cfg = SolverConfig(count=4, seed=11)
+    sigma = 2.0 / np.tan(0.2 * np.pi)
+    a = targeted(chain, sigma, cfg)
+    b = targeted(chain, sigma, cfg)
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
     for pa, pb in zip(a.pairs, b.pairs):
         assert pa.vector.tobytes() == pb.vector.tobytes()
 
 
 def test_target_warm_start_converges():
-    chain, H2 = two_exc(24, 0.25)
-    cfg = SolverConfig(target=0.0, count=4)
-    spec = eig_target(H2, H2.shape[0], cfg)
-    v0 = spec[0].vector
-    again = eig_target(H2, H2.shape[0], cfg, v0=v0)
+    chain = ChainGeometry.from_kd(24, 0.25 * np.pi)
+    cfg = SolverConfig(count=4)
+    spec = targeted(chain, 0.0, cfg)
+    again = targeted(chain, 0.0, cfg, v0=spec[0].vector)
     assert np.min(np.abs(again.eigenvalues - spec[0].lam)) < 1e-10
 
 
 def test_target_v0_validation():
-    _, H2 = two_exc(10, 0.25)
-    cfg = SolverConfig(target=0.0)
+    chain = ChainGeometry.from_kd(10, 0.25 * np.pi)
+    dim = TwoExcitationBasis(10).dim
     with pytest.raises(ValueError):
-        eig_target(H2, H2.shape[0], cfg, v0=np.zeros(H2.shape[0]))
+        targeted(chain, 0.0, SolverConfig(), v0=np.zeros(dim))
     with pytest.raises(ValueError):
-        eig_target(H2, H2.shape[0], cfg, v0=np.ones(3))
-
-
-def test_target_requires_matrix_for_direct():
-    op = TwoExcitationWaveguideOp(ChainGeometry.from_kd(8, 0.25 * np.pi))
-    with pytest.raises(TypeError):
-        eig_target(op, op.dim, SolverConfig(target=0.0, mode="si-direct"))
-    with pytest.raises(TypeError):
-        eig_target(op.matvec, op.dim, SolverConfig(target=0.0, mode="dense"))
+        targeted(chain, 0.0, SolverConfig(), v0=np.ones(3))
 
 
 def test_target_restart_limit():
-    _, H2 = two_exc(14, 0.2)
-    cfg = SolverConfig(target=0.0, count=6, tol=1e-14, max_restarts=0,
-                       max_subspace=7)
+    chain = ChainGeometry.from_kd(14, 0.2 * np.pi)
+    cfg = SolverConfig(count=6, tol=1e-14, max_restarts=0, max_subspace=7)
     with pytest.raises(RestartLimitExceeded):
-        eig_target(H2, H2.shape[0], cfg)
-
-
-def test_target_inner_stagnation():
-    # matrix-free with a starved inner solver must fail loudly, not return
-    # silently wrong eigenvalues
-    chain = ChainGeometry.from_kd(30, 0.2 * np.pi)
-    op = TwoExcitationWaveguideOp(chain)
-    cfg = SolverConfig(target=2.0 / np.tan(0.2 * np.pi), count=2,
-                       mode="si-matfree", inner_restart=2, inner_maxiter=1)
-    with pytest.raises((InnerSolveStagnation, RestartLimitExceeded)):
-        eig_target(op, op.dim, cfg, diag=op.diagonal())
+        targeted(chain, 0.0, cfg)
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(mode="magic")
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
@@ -218,7 +244,7 @@ def test_residual_norm_detects_perturbation():
 
 def test_nearest_match():
     vals = np.array([1.0 + 0j, 2.0 - 1j, -3.0 + 0.5j])
-    assert nearest_match(vals, 1.9 - 1.2j) == 1
+    assert nearest_match(vals, 1.9 - 1.2j) == [1]
     assert nearest_match(vals, [1.1, -2.9 + 0.4j]) == [0, 2]
 
 

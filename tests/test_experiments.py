@@ -7,6 +7,7 @@ physics of each experiment is covered by the acceptance suite.
 import csv
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from dimerchain.experiments.config import (
     ConfigError,
     EXPERIMENTS,
     RunConfig,
-    SolverSettings,
     load_config,
     parse_config,
 )
@@ -27,6 +27,7 @@ from dimerchain.experiments.records import (
     write_records,
     write_vectors,
 )
+from dimerchain.model import ChainGeometry, build_two_hamiltonian
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -110,10 +111,34 @@ def test_seed_mandatory_for_disorder_sampling():
     ({"seed": 2**64}, "seed"),
     ({"kd_over_pi": 1.5}, "kd_over_pi"),
     ({"kd_over_pi": []}, "kd_over_pi"),
+    ({"solver": {"fallback": "false"}}, "solver.fallback"),
+    ({"dump_vectors": "no"}, "dump_vectors"),
+    ({"dump_vectors": 1}, "dump_vectors"),
+    ({"kd_over_pi": 0.5}, "kd_over_pi"),
 ])
 def test_field_validation(doc, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config({"experiment": "spectrum", **doc})
+
+
+def test_kd_below_half_pi_checked_at_parse():
+    # dimer asymptotics and the defect secular equation need kd < pi/2
+    for exp in ("spectrum", "phase-diagram", "scaling", "defect", "disorder"):
+        with pytest.raises(ConfigError, match="kd_over_pi"):
+            parse_config({"experiment": exp, "kd_over_pi": [0.2, 0.6]})
+    with pytest.raises(ConfigError, match="kd_over_pi"):
+        parse_config({"experiment": "map-check", "N": [20], "kd_over_pi": 0.6})
+    # the relative models and free-space chains take kd up to pi
+    parse_config({"experiment": "map-check", "kd_over_pi": 0.6})
+    parse_config({"experiment": "freespace", "kd_over_pi": 0.6})
+
+
+def test_legacy_solver_mode_accepted_and_ignored():
+    plain = parse_config({"experiment": "scaling", "N": [8]})
+    for mode in ("dense", "si-direct", "si-matfree"):
+        cfg = parse_config({"experiment": "scaling", "N": [8],
+                            "solver": {"mode": mode}})
+        assert cfg.run_hash() == plain.run_hash()
 
 
 def test_run_hash_stable_and_sensitive():
@@ -129,11 +154,10 @@ def test_load_config_overrides(tmp_path):
     path = write_cfg(tmp_path, {"experiment": "spectrum", "N": [6],
                                 "solver": {"count": 4}})
     cfg = load_config(path, overrides={"out": str(tmp_path / "o"), "seed": 3,
-                                       "jobs": 2, "solver_mode": "dense"})
+                                       "jobs": 2})
     assert cfg.out == str(tmp_path / "o")
     assert cfg.seed == 3
     assert cfg.jobs == 2
-    assert cfg.solver.mode == "dense"
     assert cfg.solver.count == 4  # non-overridden solver keys survive
 
 
@@ -191,19 +215,39 @@ def test_vectors_json_re_im(tmp_path):
 # ----------------------------------------------------------- runner utils
 
 
-def test_effective_mode_ladder():
-    def cfg_with(mode, fallback):
-        return RunConfig(experiment="scaling",
-                         solver=SolverSettings(mode=mode, fallback=fallback))
+def test_find_dimer_ii_at_former_stagnation_point():
+    # N = 60, kd = 0.1676 pi: a DimerII search where an inexact inner
+    # solve (GMRES, relative residual 1.6e-10) stalled
+    chain = ChainGeometry.from_kd(60, 0.1676 * np.pi)
+    cfg = RunConfig(experiment="scaling")
+    pair, cls, spec = runner.find_dimer(chain, "II", cfg)
+    assert cls.label == "DimerII"
+    dense = np.linalg.eigvals(build_two_hamiltonian(chain))
+    assert np.min(np.abs(dense - pair.lam)) <= 1e-8
+    assert all(p.residual <= cfg.solver.tol for p in spec.pairs)
 
-    assert runner._effective_mode(cfg_with("dense", False), 70) == "dense"
-    with pytest.raises(ConfigError, match="dense two-excitation cap"):
-        runner._effective_mode(cfg_with("dense", False), 71)
-    assert runner._effective_mode(cfg_with("dense", True), 71) == "si-direct"
-    with pytest.raises(ConfigError, match="shift-invert direct cap"):
-        runner._effective_mode(cfg_with("si-direct", False), 151)
-    assert runner._effective_mode(cfg_with("dense", True), 151) == "si-matfree"
-    assert runner._effective_mode(cfg_with("si-matfree", False), 400) == "si-matfree"
+
+def test_find_dimer_past_the_old_direct_cap():
+    chain = ChainGeometry.from_kd(160, 0.25 * np.pi)
+    cfg = RunConfig(experiment="scaling")
+    pair, cls, spec = runner.find_dimer(chain, "II", cfg)
+    assert cls.label == "DimerII"
+    assert pair.residual <= cfg.solver.tol
+    assert spec.meta["dim"] == 160 * 159 // 2
+
+
+def test_find_dimer_allocates_no_pair_matrix():
+    # one D x D complex array at N = 100 alone is 392 MB
+    chain = ChainGeometry.from_kd(100, 0.1676 * np.pi)
+    cfg = RunConfig(experiment="scaling")
+    tracemalloc.start()
+    try:
+        pair, _, _ = runner.find_dimer(chain, "I", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair is not None
+    assert peak < 64e6
 
 
 def test_disorder_offsets_contract():
@@ -229,8 +273,7 @@ def test_cli_lists_all_experiments():
     # every experiment is a subcommand with the full flag set
     for name in EXPERIMENTS:
         ns = parser.parse_args([name, "--config", "x.json", "--seed", "5",
-                                "--jobs", "2", "--solver", "dense",
-                                "--out", "o"])
+                                "--jobs", "2", "--out", "o"])
         assert ns.experiment == name
 
 
@@ -298,13 +341,29 @@ def test_cli_rerun_byte_identical_except_walltime(tmp_path, capsys):
 
 
 def test_cli_solver_override_changes_hash(tmp_path, capsys):
+    # solver settings come from the config only (there is no --solver
+    # flag), and changing one changes the run hash
     cfg = {"experiment": "spectrum", "N": [6], "out": str(tmp_path / "r")}
     path = write_cfg(tmp_path, cfg)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["spectrum", "--config", path,
+                                       "--solver", "dense"])
     assert run_cli(["spectrum", "--config", path]) == 0
     first = capsys.readouterr().out.strip()
-    assert run_cli(["spectrum", "--config", path, "--solver", "dense"]) == 0
+    path = write_cfg(tmp_path, {**cfg, "solver": {"tol": 1e-9}})
+    assert run_cli(["spectrum", "--config", path]) == 0
     second = capsys.readouterr().out.strip()
     assert first != second
+
+
+def test_cli_restart_limit_is_one_error_line(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"experiment": "scaling", "N": [12],
+                                "kd_over_pi": [0.2], "out": str(tmp_path / "r"),
+                                "solver": {"max_restarts": 0, "tol": 1e-18}})
+    assert run_cli(["scaling", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "restarts" in err
 
 
 def test_cli_defect_end_to_end(tmp_path, capsys):

@@ -16,7 +16,6 @@ from dimerchain.model import (
     TwoExcitationBasis,
     TwoExcitationWaveguideOp,
     Waveguide1D,
-    apply_two_fast,
     build_defect_relative_hamiltonian,
     build_missing_site_hamiltonian,
     build_relative_hamiltonian,
@@ -273,7 +272,7 @@ def test_fast_matvec_equals_dense(N, kd_pi):
     psi = RNG.standard_normal(basis.dim) + 1j * RNG.standard_normal(basis.dim)
     psi /= np.linalg.norm(psi)
     ref = H2 @ psi
-    out = apply_two_fast(chain, basis, psi)
+    out = TwoExcitationWaveguideOp(chain, basis).matvec(psi)
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
@@ -281,15 +280,23 @@ def test_fast_matvec_n2_is_minus_igamma():
     chain = ChainGeometry.from_kd(2, 0.41 * np.pi, gamma1d=1.0)
     basis = TwoExcitationBasis(2)
     psi = np.array([0.3 + 0.4j])
-    assert np.allclose(apply_two_fast(chain, basis, psi), -1j * psi)
+    assert np.allclose(TwoExcitationWaveguideOp(chain, basis).matvec(psi),
+                       -1j * psi)
 
 
 def test_fast_matvec_rejects_other_kernels():
+    # the operator takes no kernel: it always applies the chain's guided
+    # mode, never a free-space kernel
     chain = ChainGeometry(N=5, k1d=2 * np.pi, d=0.35)
     basis = TwoExcitationBasis(5)
-    with pytest.raises((TypeError, ValueError)):
-        apply_two_fast(chain, basis, np.ones(basis.dim, complex),
-                       kernel=FreeSpace3D(lambda0=1.0))
+    with pytest.raises(TypeError):
+        TwoExcitationWaveguideOp(chain, basis, kernel=FreeSpace3D(lambda0=1.0))
+    psi = RNG.standard_normal(basis.dim) + 0j
+    out = TwoExcitationWaveguideOp(chain, basis).matvec(psi)
+    assert np.allclose(out, build_two_hamiltonian(chain, basis=basis) @ psi)
+    free = build_two_hamiltonian(chain, kernel=FreeSpace3D(lambda0=1.0),
+                                 basis=basis)
+    assert not np.allclose(out, free @ psi)
 
 
 def test_operator_diagonal_and_matvec():
