@@ -9,7 +9,8 @@ object {"start", "stop", "step"}.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -91,14 +92,10 @@ class RunConfig:
         return hashlib.sha1(blob).hexdigest()[:10]
 
 
-_TOP_KEYS = {
-    "experiment", "N", "kd_over_pi", "gamma", "solver", "disorder",
-    "defect_sites", "kernel", "d_over_lambda0", "seed", "out", "jobs",
-    "dump_vectors", "M", "Kd_over_pi",
-}
-_SOLVER_KEYS = {"mode", "tol", "count", "max_restarts", "max_subspace",
-                "fallback"}
-_DISORDER_KEYS = {"delta", "samples"}
+_TOP_KEYS = {f.name for f in fields(RunConfig)}
+# plus the legacy solver.mode, accepted and validated but not stored
+_SOLVER_KEYS = {f.name for f in fields(SolverSettings)} | {"mode"}
+_DISORDER_KEYS = {f.name for f in fields(DisorderSettings)}
 _RANGE_KEYS = {"start", "stop", "step"}
 
 
@@ -108,18 +105,25 @@ def _reject_unknown(d, allowed, where):
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _as_int(value, where):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{where} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _as_int_list(value, where):
     if isinstance(value, dict):
         _reject_unknown(value, _RANGE_KEYS, where)
         if "start" not in value or "stop" not in value:
             raise ConfigError(f"{where} range needs start and stop")
-        step = int(value.get("step", 1))
+        step = _as_int(value.get("step", 1), f"{where} step")
         if step <= 0:
             raise ConfigError(f"{where} range step must be positive")
-        return tuple(range(int(value["start"]), int(value["stop"]) + 1, step))
+        return tuple(range(_as_int(value["start"], f"{where} start"),
+                           _as_int(value["stop"], f"{where} stop") + 1, step))
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    return (int(value),)
+        return tuple(_as_int(v, where) for v in value)
+    return (_as_int(value, where),)
 
 
 def _as_bool(value, where):
@@ -162,9 +166,11 @@ def parse_config(doc, experiment=None):
         raise ConfigError(f"solver.mode must be one of {SOLVER_MODES}")
     solver = SolverSettings(
         tol=float(solver_doc.get("tol", 1e-10)),
-        count=int(solver_doc.get("count", 8)),
-        max_restarts=int(solver_doc.get("max_restarts", 200)),
-        max_subspace=int(solver_doc.get("max_subspace", 0)),
+        count=_as_int(solver_doc.get("count", 8), "solver.count"),
+        max_restarts=_as_int(solver_doc.get("max_restarts", 200),
+                             "solver.max_restarts"),
+        max_subspace=_as_int(solver_doc.get("max_subspace", 0),
+                             "solver.max_subspace"),
         fallback=_as_bool(solver_doc.get("fallback", False), "solver.fallback"),
     )
     if solver.tol <= 0:
@@ -178,7 +184,7 @@ def parse_config(doc, experiment=None):
     _reject_unknown(dis_doc, _DISORDER_KEYS, "disorder")
     disorder = DisorderSettings(
         delta=float(dis_doc.get("delta", 0.0)),
-        samples=int(dis_doc.get("samples", 0)),
+        samples=_as_int(dis_doc.get("samples", 0), "disorder.samples"),
     )
     if disorder.delta < 0 or disorder.delta >= 0.5:
         raise ConfigError("disorder.delta must lie in [0, 0.5)")
@@ -190,7 +196,7 @@ def parse_config(doc, experiment=None):
         raise ConfigError("seed is mandatory when disorder sampling is requested")
     if seed is None:
         seed = 0
-    seed = int(seed)
+    seed = _as_int(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
@@ -202,7 +208,7 @@ def parse_config(doc, experiment=None):
     if kernel not in ("waveguide", "transverse", "parallel"):
         raise ConfigError("kernel must be waveguide, transverse, or parallel")
 
-    jobs = int(doc.get("jobs", 1))
+    jobs = _as_int(doc.get("jobs", 1), "jobs")
     if jobs < 1:
         raise ConfigError("jobs must be at least 1")
 
@@ -213,7 +219,7 @@ def parse_config(doc, experiment=None):
         gamma=gamma,
         solver=solver,
         disorder=disorder,
-        defect_sites=tuple(int(s) for s in doc.get("defect_sites", [])),
+        defect_sites=_as_int_list(doc.get("defect_sites", []), "defect_sites"),
         kernel=kernel,
         d_over_lambda0=_as_float_list(doc.get("d_over_lambda0", [0.35]),
                                       "d_over_lambda0"),
@@ -232,6 +238,25 @@ def parse_config(doc, experiment=None):
         if max(cfg.kd_over_pi) >= 0.5:
             raise ConfigError(f"kd_over_pi values must lie in (0, 0.5) for "
                               f"{exp}: its asymptotics need kd < pi/2")
+    if min(cfg.N, default=2) < 2:
+        raise ConfigError("N values must be at least 2")
+    if (exp == "spectrum" and max(cfg.N, default=0) > DENSE_TWOEXC_CAP
+            and not solver.fallback):
+        raise ConfigError(
+            f"full two-excitation spectrum cap exceeded (N={max(cfg.N)} > "
+            f"{DENSE_TWOEXC_CAP}); enable solver.fallback for a targeted "
+            "partial spectrum")
+    # defect sites (default N//2): the secular equation needs a neighbour
+    # on both sides; a free-space chain takes any site
+    if exp in ("defect", "freespace"):
+        lo, hi = (1, 2) if exp == "defect" else (0, 1)
+        for N in cfg.N:
+            for site in cfg.defect_sites or (N // 2,):
+                if not lo <= site <= N - hi:
+                    raise ConfigError(f"defect site {site} must lie in "
+                                      f"{lo}..{N - hi} for {exp} at N={N}")
+    if min(cfg.M, default=1) < 1:
+        raise ConfigError("M values must be at least 1")
     return cfg
 
 

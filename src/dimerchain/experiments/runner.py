@@ -1,20 +1,25 @@
 """The numerical campaigns behind each CLI subcommand.
 
-Every command reads a validated RunConfig, runs module functions, and
-writes: a SweepRecord CSV (the contract), a sorted-key JSON metadata
-sidecar, optional supplementary per-grid-point tables, optional
-eigenvector dumps, and an SVG plot.  Reruns with the same config and
-seed are byte-identical except for wall-time columns.
+Every command is one sweep: a list of tasks, a module-level point
+function point(task, cfg) -> (records, table rows, vectors, summary),
+and one writer.  _sweep runs the point function through _pmap (in
+cfg.jobs worker processes) and gathers the results in task order, so
+outputs do not depend on jobs.  The command derives its metadata and
+plot from the gathered rows and summaries; _finish writes a SweepRecord
+CSV (the contract), a sorted-key JSON metadata sidecar, an optional
+per-grid-point table, optional eigenvector dumps and an SVG plot.
+Reruns with the same config and seed are byte-identical except for
+wall-time columns.  A task is one grid point, except in `scaling`,
+whose warm starts along N make a whole kd series one task.
 
-Two-excitation states come from one of two solvers.  Full spectra
-(`spectrum`) are dense zgeev up to N = 70; past that cap a run raises
-unless solver.fallback is set, in which case it returns the targeted
-partial spectrum around both dimer eigenvalues (flagged in metadata).
+Full two-excitation spectra (`spectrum`) are dense zgeev up to N = 70;
+past that cap (allowed only with solver.fallback) they are the targeted
+partial spectrum around both dimer eigenvalues, flagged in metadata.
 Every other two-excitation search is targeted: Krylov-Schur on the
 exact structured shift-invert of eig._make_shift_solver, with O(N^2)
 memory and no cap on N.
 """
-
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -39,30 +44,46 @@ from .records import make_record, write_meta, write_records, write_table, write_
 from .svg import heatmap, line_plot
 
 
-def _outpaths(cfg):
+def _pmap(fn, items, jobs):
+    if jobs <= 1:
+        return [fn(it) for it in items]
+    with ProcessPoolExecutor(max_workers=jobs) as ex:
+        return list(ex.map(fn, items))
+
+
+def _sweep(cfg, point, tasks):
+    """point(task, cfg) over the tasks, in cfg.jobs processes; returns the
+    concatenated records, table rows and vectors, and the list of
+    per-task summaries, all in task order."""
+    records, rows, vectors, summaries = [], [], {}, []
+    for rec, row, vec, summary in _pmap(functools.partial(point, cfg=cfg),
+                                        tasks, cfg.jobs):
+        records += rec
+        rows += row
+        vectors.update(vec)
+        summaries.append(summary)
+    return records, rows, vectors, summaries
+
+
+def _finish(cfg, records, meta, plot, table=None, vectors=None):
+    """Write a run's files, named <experiment>-<run hash>.*, and return
+    their paths.  plot(svg_path) draws the figure; a run with nothing to
+    draw (the plotters raise ValueError) has no SVG."""
     os.makedirs(cfg.out, exist_ok=True)
     base = os.path.join(cfg.out, f"{cfg.experiment}-{cfg.run_hash()}")
-    return {
-        "csv": base + ".csv",
-        "table": base + ".grid.csv",
-        "meta": base + ".meta.json",
-        "vectors": base + ".vectors.json",
-        "svg": base + ".svg",
-    }
-
-
-def _finish(cfg, paths, records, meta, tables=None, vectors=None):
+    paths = {"csv": base + ".csv", "table": base + ".grid.csv",
+             "meta": base + ".meta.json", "vectors": base + ".vectors.json",
+             "svg": base + ".svg"}
+    try:
+        plot(paths["svg"])
+    except ValueError:
+        pass
     write_records(paths["csv"], records)
-    meta = dict(meta)
-    meta.update(
-        experiment=cfg.experiment,
-        config=cfg.canonical_dict(),
-        run_hash=cfg.run_hash(),
-        n_records=len(records),
-    )
-    write_meta(paths["meta"], meta)
-    if tables:
-        write_table(paths["table"], tables[0], tables[1])
+    write_meta(paths["meta"], dict(
+        meta, experiment=cfg.experiment, config=cfg.canonical_dict(),
+        run_hash=cfg.run_hash(), n_records=len(records)))
+    if table:
+        write_table(paths["table"], *table)
     if vectors:
         write_vectors(paths["vectors"], vectors)
     return paths
@@ -119,10 +140,26 @@ def find_dimer(chain, dimer_type, cfg, ferm=None, basis=None, v0=None,
     return None, None, spec
 
 
-def _one_exc_min(chain):
-    """Most subradiant one-excitation eigenpair (dense)."""
+def _one_exc(chain, cfg):
+    """Most subradiant one-excitation eigenpair (dense) and its record."""
     spec = eig.eig_dense_all(build_single_hamiltonian(chain))
-    return spec.pairs[0], spec.meta["wall_time"]
+    one = spec.pairs[0]
+    return one, [make_record(
+        cfg.experiment, chain.N, chain.kd, "one-exc", "one-exc", one.lam,
+        "dense", one.residual, spec.meta["wall_time"], cfg.seed)]
+
+
+def _dimer(chain, dimer_type, cfg, sample=-1, **kwargs):
+    """find_dimer and the record of the state it found: (pair, [record]),
+    or (None, []) when the label is absent."""
+    t0 = time.perf_counter()
+    pair, cls, _ = find_dimer(chain, dimer_type, cfg, **kwargs)
+    wall = time.perf_counter() - t0
+    if pair is None:
+        return None, []
+    return pair, [make_record(
+        cfg.experiment, chain.N, chain.kd, "two-exc", cls.label, pair.lam,
+        eig.SOLVER_MODE, pair.residual, wall, cfg.seed, sample_index=sample)]
 
 
 def _embed_pair_vector(v, basis_old, basis_new):
@@ -145,213 +182,172 @@ def disorder_offsets(seed, sample_index, N, delta, d=1.0):
     return gen.uniform(-delta * d, delta * d, size=N)
 
 
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------- spectrum
+
+
+def _spectrum_point(task, cfg):
+    N, kd_over_pi, kd = task
+    chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
+    basis = TwoExcitationBasis(N)
+    # full spectra are dense; past the cap (parse_config allows it only
+    # with solver.fallback) the run degrades to a targeted partial
+    # spectrum around both dimer branches (flagged in metadata)
+    partial = N > DENSE_TWOEXC_CAP
+    t0 = time.perf_counter()
+    if not partial:
+        H2 = build_two_hamiltonian(chain, basis=basis)
+        spec = eig.eig_dense_all(H2)
+        pairs = spec.pairs
+        trace_gap = abs(np.sum(spec.eigenvalues) - np.trace(H2)) / max(
+            abs(np.trace(H2)), 1e-300)
+    else:
+        op = TwoExcitationWaveguideOp(chain, basis)
+        H1 = build_single_hamiltonian(chain)
+        seen, pairs = set(), []
+        for t in ("I", "II"):
+            om = theory.asymptotic_dimer(kd, t, cfg.gamma).omega
+            sp = _targeted_two_exc(op, eig._make_shift_solver(H1, om), cfg)
+            for p in sp.pairs:
+                key = (round(p.lam.real, 9), round(p.lam.imag, 9))
+                if key not in seen:
+                    seen.add(key)
+                    pairs.append(p)
+        trace_gap = None
+    wall = time.perf_counter() - t0
+    ferm = analysis.fermionic_basis(chain)
+    classes = [analysis.classify_state(p, chain, ferm=ferm, basis=basis)
+               for p in pairs]
+    mode_used = "dense" if not partial else eig.SOLVER_MODE
+    records = [make_record("spectrum", N, kd, "two-exc", c.label, p.lam,
+                           mode_used, p.residual, wall, cfg.seed)
+               for p, c in zip(pairs, classes)]
+    key = f"N={N},kd_over_pi={kd_over_pi}"
+    summary = {
+        "branches": analysis.branch_summary(classes, ferm.values, cfg.gamma),
+        "partial": partial,
+        "trace_relative_gap": trace_gap,
+        "states": len(pairs),
+    }
+    vectors = {}
+    if cfg.dump_vectors:
+        for label in (analysis.DIMER_I, analysis.DIMER_II,
+                      analysis.FERMIONIC, analysis.OTHER):
+            try:
+                p = analysis.most_subradiant(pairs, classes, label)
+            except ValueError:
+                continue
+            vectors[f"{key},label={label}"] = p.vector
+    scatter = []
+    for label in sorted({c.label for c in classes}):
+        pts = [(p.lam.real, p.decay_rate) for p, c in zip(pairs, classes)
+               if c.label == label and p.decay_rate > 0]
+        if pts:
+            scatter.append((f"{label} {key}", [q[0] for q in pts],
+                            [q[1] for q in pts]))
+    return records, [], vectors, (key, summary, scatter)
 
 
 def cmd_spectrum(cfg):
     """Full two-excitation spectrum per (N, kd), classified, with a
     branch summary; falls back to a targeted partial spectrum past the
     dense cap when solver.fallback is set."""
-    paths = _outpaths(cfg)
-    records, vectors, summaries = [], {}, {}
-    scatter_series = []
-    for N in cfg.N:
-        for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values):
-            chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-            basis = TwoExcitationBasis(N) if N >= 2 else None
-            if basis is None:
-                raise ConfigError("spectrum needs N >= 2")
-            # full spectra are dense; past the cap the run degrades to a
-            # targeted partial spectrum around both dimer branches
-            # (flagged in metadata)
-            partial = N > DENSE_TWOEXC_CAP
-            if partial and not cfg.solver.fallback:
-                raise ConfigError(
-                    f"full two-excitation spectrum cap exceeded (N={N} > "
-                    f"{DENSE_TWOEXC_CAP}); enable solver.fallback for a "
-                    "targeted partial spectrum"
-                )
-            t0 = time.perf_counter()
-            if not partial:
-                H2 = build_two_hamiltonian(chain, basis=basis)
-                spec = eig.eig_dense_all(H2)
-                pairs = spec.pairs
-                trace_gap = abs(np.sum(spec.eigenvalues) - np.trace(H2)) / max(
-                    abs(np.trace(H2)), 1e-300)
-            else:
-                op = TwoExcitationWaveguideOp(chain, basis)
-                H1 = build_single_hamiltonian(chain)
-                seen, pairs = set(), []
-                for t in ("I", "II"):
-                    om = theory.asymptotic_dimer(kd, t, cfg.gamma).omega
-                    sp = _targeted_two_exc(
-                        op, eig._make_shift_solver(H1, om), cfg)
-                    for p in sp.pairs:
-                        key = (round(p.lam.real, 9), round(p.lam.imag, 9))
-                        if key not in seen:
-                            seen.add(key)
-                            pairs.append(p)
-                trace_gap = None
-            wall = time.perf_counter() - t0
-            ferm = analysis.fermionic_basis(chain)
-            classes = [analysis.classify_state(p, chain, ferm=ferm, basis=basis)
-                       for p in pairs]
-            mode_used = "dense" if not partial else eig.SOLVER_MODE
-            for p, c in zip(pairs, classes):
-                records.append(make_record(
-                    "spectrum", N, kd, "two-exc", c.label, p.lam, mode_used,
-                    p.residual, wall, cfg.seed))
-            key = f"N={N},kd_over_pi={kd_over_pi}"
-            summaries[key] = {
-                "branches": analysis.branch_summary(classes, ferm.values,
-                                                    cfg.gamma),
-                "partial": partial,
-                "trace_relative_gap": trace_gap,
-                "states": len(pairs),
-            }
-            if cfg.dump_vectors:
-                for label in (analysis.DIMER_I, analysis.DIMER_II,
-                              analysis.FERMIONIC, analysis.OTHER):
-                    try:
-                        p = analysis.most_subradiant(pairs, classes, label)
-                    except ValueError:
-                        continue
-                    vectors[f"{key},label={label}"] = p.vector
-            for label in sorted({c.label for c in classes}):
-                pts = [(p.lam.real, p.decay_rate)
-                       for p, c in zip(pairs, classes)
-                       if c.label == label and p.decay_rate > 0]
-                if pts:
-                    scatter_series.append((
-                        f"{label} {key}", [q[0] for q in pts],
-                        [q[1] for q in pts]))
-    meta = {"summaries": summaries,
+    tasks = [(N, kd_over_pi, kd) for N in cfg.N
+             for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values)]
+    records, _, vectors, points = _sweep(cfg, _spectrum_point, tasks)
+    meta = {"summaries": {key: summary for key, summary, _ in points},
             "classifier_thresholds": vars(analysis.ClassifierThresholds())}
-    try:
-        line_plot(paths["svg"], scatter_series, title="two-excitation spectrum",
-                  xlabel="Re lambda / Gamma", ylabel="decay rate / Gamma",
-                  logy=True)
-    except ValueError:
-        pass
-    return _finish(cfg, paths, records, meta, vectors=vectors or None)
+    scatter = [s for _, _, series in points for s in series]
+    return _finish(cfg, records, meta, lambda svg: line_plot(
+        svg, scatter, title="two-excitation spectrum",
+        xlabel="Re lambda / Gamma", ylabel="decay rate / Gamma", logy=True),
+        vectors=vectors)
 
 
 # ----------------------------------------------------------- phase diagram
 
 
-def _phase_point(args):
-    (N, kd_over_pi, kd, cfg) = args
+def _phase_point(task, cfg):
+    N, kd_over_pi, kd = task
     chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-    one, wall1 = _one_exc_min(chain)
+    one, records = _one_exc(chain, cfg)
     baseline = analysis.fermionic_reference(chain)
-    t0 = time.perf_counter()
-    pair, cls, _ = find_dimer(chain, "II", cfg)
-    wall2 = time.perf_counter() - t0
-    return (N, kd_over_pi, kd, one, wall1, baseline, pair, cls, wall2)
+    pair, found = _dimer(chain, "II", cfg)
+    rII = pair.decay_rate if pair is not None else ""
+    row = [N, kd_over_pi, rII, one.decay_rate, baseline,
+           bool(rII != "" and rII < one.decay_rate),
+           bool(rII != "" and rII < baseline)]
+    return records + found, [row], {}, None
 
 
 def cmd_phase_diagram(cfg):
     """Most subradiant type-II rate vs (N, kd) against the one-excitation
     minimum and the fermionic sum-rule baseline, with crossover curves."""
-    paths = _outpaths(cfg)
-    tasks = [(N, kd_over_pi, kd, cfg)
+    tasks = [(N, kd_over_pi, kd)
              for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values)
              for N in cfg.N]
-    results = _pmap(_phase_point, tasks, cfg.jobs)
-    records, rows = [], []
-    rateII = {}
-    for (N, kd_over_pi, kd, one, wall1, baseline, pair, cls, wall2) in results:
-        records.append(make_record(
-            "phase-diagram", N, kd, "one-exc", "one-exc", one.lam, "dense",
-            one.residual, wall1, cfg.seed))
-        if pair is not None:
-            records.append(make_record(
-                "phase-diagram", N, kd, "two-exc", cls.label, pair.lam,
-                eig.SOLVER_MODE, pair.residual, wall2, cfg.seed))
-            rII = pair.decay_rate
-        else:
-            rII = None
-        rateII[(kd_over_pi, N)] = rII
-        rows.append([
-            N, kd_over_pi, rII if rII is not None else "",
-            one.decay_rate, baseline,
-            bool(rII is not None and rII < one.decay_rate),
-            bool(rII is not None and rII < baseline),
-        ])
-    first_crossover = {}
-    for kd_over_pi in cfg.kd_over_pi:
-        first = None
-        for N in sorted(cfg.N):
-            row = next(r for r in rows if r[0] == N and r[1] == kd_over_pi)
-            if row[5] is True:
-                first = N
-                break
-        first_crossover[str(kd_over_pi)] = first
-    meta = {"first_crossover_N": first_crossover}
-    Zplot = [[rateII[(k, N)] if rateII[(k, N)] is not None else 0.0
-              for N in sorted(cfg.N)] for k in cfg.kd_over_pi]
-    try:
-        heatmap(paths["svg"], sorted(cfg.N), list(cfg.kd_over_pi), Zplot,
-                title="type-II dimer decay rate", xlabel="N",
-                ylabel="kd / pi", log=True)
-    except ValueError:
-        pass
+    records, rows, _, _ = _sweep(cfg, _phase_point, tasks)
+    meta = {"first_crossover_N": {
+        str(k): min((r[0] for r in rows if r[1] == k and r[5]), default=None)
+        for k in cfg.kd_over_pi}}
+    rateII = {(r[1], r[0]): r[2] for r in rows}
+    Zplot = [[rateII[(k, N)] or 0.0 for N in sorted(cfg.N)]
+             for k in cfg.kd_over_pi]
     cols = ("N", "kd_over_pi", "rate_dimerII", "rate_one_exc",
             "fermionic_baseline", "crossover_vs_one_exc",
             "crossover_vs_fermionic")
-    return _finish(cfg, paths, records, meta, tables=(cols, rows))
+    return _finish(cfg, records, meta, lambda svg: heatmap(
+        svg, sorted(cfg.N), list(cfg.kd_over_pi), Zplot,
+        title="type-II dimer decay rate", xlabel="N", ylabel="kd / pi",
+        log=True), table=(cols, rows))
 
 
 # ----------------------------------------------------------------- scaling
 
 
+def _scaling_series(task, cfg):
+    """One kd series in ascending N; each size's dimer searches start from
+    the previous size's dimer vectors."""
+    kd_over_pi, kd = task
+    Ns = sorted(cfg.N)
+    records, rows = [], []
+    series = {}  # (kd_over_pi, name) -> [(N, rate)]
+    warm = {"I": None, "II": None}
+    for N in Ns:
+        chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
+        basis = TwoExcitationBasis(N)
+        ferm = analysis.fermionic_basis(chain)
+        one, rec = _one_exc(chain, cfg)
+        records += rec
+        series.setdefault((kd_over_pi, "one-exc"), []).append(
+            (N, one.decay_rate))
+        for t in ("I", "II"):
+            name = "Dimer" + t
+            pair, rec = _dimer(chain, t, cfg, ferm=ferm, basis=basis,
+                               v0=warm[t])
+            records += rec
+            if pair is None:
+                rows.append([N, kd_over_pi, name, "", "", eig.SOLVER_MODE])
+                warm[t] = None
+                continue
+            series.setdefault((kd_over_pi, name), []).append(
+                (N, pair.decay_rate))
+            rows.append([N, kd_over_pi, name, pair.lam.real,
+                         pair.decay_rate, eig.SOLVER_MODE])
+            if N != Ns[-1]:
+                nxt = TwoExcitationBasis(Ns[Ns.index(N) + 1])
+                warm[t] = _embed_pair_vector(pair.vector, basis, nxt)
+    return records, rows, {}, series
+
+
 def cmd_scaling(cfg):
     """Decay rate vs N for the type-I / type-II / one-excitation series,
     power-law fits, plus period-4 and dip diagnostics."""
-    paths = _outpaths(cfg)
-    records, rows = [], []
-    series = {}  # (kd_over_pi, name) -> (Ns, rates)
-    for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values):
-        warm = {"I": None, "II": None}
-        for N in sorted(cfg.N):
-            chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-            basis = TwoExcitationBasis(N)
-            ferm = analysis.fermionic_basis(chain)
-            one, wall1 = _one_exc_min(chain)
-            records.append(make_record(
-                "scaling", N, kd, "one-exc", "one-exc", one.lam, "dense",
-                one.residual, wall1, cfg.seed))
-            series.setdefault((kd_over_pi, "one-exc"), []).append(
-                (N, one.decay_rate))
-            for t in ("I", "II"):
-                t0 = time.perf_counter()
-                v0 = warm[t]
-                pair, cls, _ = find_dimer(chain, t, cfg, ferm=ferm,
-                                          basis=basis, v0=v0)
-                wall = time.perf_counter() - t0
-                name = "DimerI" if t == "I" else "DimerII"
-                if pair is None:
-                    rows.append([N, kd_over_pi, name, "", "", eig.SOLVER_MODE])
-                    warm[t] = None
-                    continue
-                records.append(make_record(
-                    "scaling", N, kd, "two-exc", cls.label, pair.lam,
-                    eig.SOLVER_MODE, pair.residual, wall, cfg.seed))
-                series.setdefault((kd_over_pi, name), []).append(
-                    (N, pair.decay_rate))
-                rows.append([N, kd_over_pi, name, pair.lam.real,
-                             pair.decay_rate, eig.SOLVER_MODE])
-                if N != sorted(cfg.N)[-1]:
-                    nxt = sorted(cfg.N)[sorted(cfg.N).index(N) + 1]
-                    warm[t] = _embed_pair_vector(
-                        pair.vector, basis, TwoExcitationBasis(nxt))
+    records, rows, _, parts = _sweep(
+        cfg, _scaling_series, list(zip(cfg.kd_over_pi, cfg.kd_values)))
+    series = {}
+    for part in parts:
+        for key, pts in part.items():
+            series.setdefault(key, []).extend(pts)
     fits, period4, dips = {}, {}, {}
     for (kd_over_pi, name), pts in series.items():
         Ns = np.array([p[0] for p in pts], dtype=float)
@@ -380,101 +376,90 @@ def cmd_scaling(cfg):
     meta = {"fits": fits, "period4": period4, "dip": dips}
     plot = [(f"{nm} kd={k}pi", [p[0] for p in pts], [p[1] for p in pts])
             for (k, nm), pts in sorted(series.items())]
-    try:
-        line_plot(paths["svg"], plot, title="decay rate scaling", xlabel="N",
-                  ylabel="decay rate / Gamma", logx=True, logy=True)
-    except ValueError:
-        pass
     cols = ("N", "kd_over_pi", "series", "re_lambda", "decay_rate", "mode")
-    return _finish(cfg, paths, records, meta, tables=(cols, rows))
+    return _finish(cfg, records, meta, lambda svg: line_plot(
+        svg, plot, title="decay rate scaling", xlabel="N",
+        ylabel="decay rate / Gamma", logx=True, logy=True), table=(cols, rows))
 
 
 # ------------------------------------------------------------------ defect
 
 
+def _defect_point(task, cfg):
+    kd_over_pi, kd, N, site = task
+    chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
+    sol = theory.solve_defect_secular(N, kd, site, cfg.gamma)
+    t0 = time.perf_counter()
+    spec = eig.eig_dense_all(build_missing_site_hamiltonian(chain, site))
+    wall = time.perf_counter() - t0
+    pair = spec.pairs[int(np.argmin(np.abs(spec.eigenvalues - sol.omega)))]
+    record = make_record("defect", N, kd, "one-exc", "defect-localized",
+                         pair.lam, "dense", pair.residual, wall, cfg.seed)
+    row = [N, kd_over_pi, site, sol.minNLR, pair.lam.real, pair.lam.imag,
+           sol.omega.real, sol.omega.imag, abs(pair.lam - sol.omega),
+           sol.secular_residual, sol.equation]
+    vectors = ({f"N={N},site={site},kd_over_pi={kd_over_pi}": pair.vector}
+               if cfg.dump_vectors else {})
+    return [record], [row], vectors, None
+
+
 def cmd_defect(cfg):
     """Missing-emitter localized states: dense numerics vs the secular
     equation, per (N, site, kd)."""
-    paths = _outpaths(cfg)
-    records, rows, vectors = [], [], {}
-    profile_series = []
+    tasks = [(kd_over_pi, kd, N, site)
+             for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values)
+             for N in sorted(cfg.N)
+             for site in cfg.defect_sites or (N // 2,)]
+    records, rows, vectors, _ = _sweep(cfg, _defect_point, tasks)
+    # rate = -2 Im lambda (row column 5)
+    meta, plot = {}, []
     for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values):
-        central = {}
-        for N in sorted(cfg.N):
-            sites = list(cfg.defect_sites) if cfg.defect_sites else [N // 2]
-            chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-            for site in sites:
-                sol = theory.solve_defect_secular(N, kd, site, cfg.gamma)
-                t0 = time.perf_counter()
-                spec = eig.eig_dense_all(
-                    build_missing_site_hamiltonian(chain, site))
-                wall = time.perf_counter() - t0
-                lams = spec.eigenvalues
-                i = int(np.argmin(np.abs(lams - sol.omega)))
-                pair = spec.pairs[i]
-                records.append(make_record(
-                    "defect", N, kd, "one-exc", "defect-localized", pair.lam,
-                    "dense", pair.residual, wall, cfg.seed))
-                rows.append([
-                    N, kd_over_pi, site, sol.minNLR, pair.lam.real,
-                    pair.lam.imag, sol.omega.real, sol.omega.imag,
-                    abs(pair.lam - sol.omega), sol.secular_residual,
-                    sol.equation,
-                ])
-                if site == N // 2:
-                    central[N] = pair.decay_rate
-                if cfg.dump_vectors:
-                    vectors[f"N={N},site={site},kd_over_pi={kd_over_pi}"] = (
-                        pair.vector)
+        central = [(r[0], -2.0 * r[5]) for r in rows
+                   if r[1] == kd_over_pi and r[2] == r[0] // 2]
+        pts = [p for p in central if p[1] > 0]
+        if pts:
+            plot.append((f"central defect kd={kd_over_pi}pi",
+                         [p[0] for p in pts], [p[1] for p in pts]))
+        central = dict(central)
         if len(central) >= 5:
             Ns = np.array(sorted(central), dtype=float)
             rates = np.array([central[int(n)] for n in Ns])
             if np.all(rates > 0):
                 slope = np.polyfit(Ns, np.log(rates), 1)[0]
-                profile_series.append((kd_over_pi, slope, np.log(np.cos(kd))))
-    meta = {}
-    for kd_over_pi, slope, predicted in profile_series:
-        meta[f"central_slope_kd_over_pi={kd_over_pi}"] = {
-            "fit_dlog_rate_dN": slope,
-            "predicted_log_cos_kd": predicted,
-            "relative_gap": abs(slope - predicted) / abs(predicted),
-        }
-    plot = []
-    for kd_over_pi in cfg.kd_over_pi:
-        pts = [(r[0], -2.0 * r[5]) for r in rows
-               if r[1] == kd_over_pi and r[2] == r[0] // 2 and -2.0 * r[5] > 0]
-        if pts:
-            plot.append((f"central defect kd={kd_over_pi}pi",
-                         [p[0] for p in pts], [p[1] for p in pts]))
+                predicted = np.log(np.cos(kd))
+                meta[f"central_slope_kd_over_pi={kd_over_pi}"] = {
+                    "fit_dlog_rate_dN": slope,
+                    "predicted_log_cos_kd": predicted,
+                    "relative_gap": abs(slope - predicted) / abs(predicted),
+                }
     if not plot:
         pts = [(r[2], -2.0 * r[5]) for r in rows if -2.0 * r[5] > 0]
         if pts:
             plot.append(("defect scan", [p[0] for p in pts],
                          [p[1] for p in pts]))
-    try:
-        line_plot(paths["svg"], plot, title="defect-localized decay rate",
-                  xlabel="N (or site)", ylabel="decay rate / Gamma", logy=True)
-    except ValueError:
-        pass
     cols = ("N", "kd_over_pi", "site", "minNLR", "re_numeric", "im_numeric",
             "re_secular", "im_secular", "abs_gap", "secular_residual",
             "equation")
-    return _finish(cfg, paths, records, meta, tables=(cols, rows),
-                   vectors=vectors or None)
+    return _finish(cfg, records, meta, lambda svg: line_plot(
+        svg, plot, title="defect-localized decay rate",
+        xlabel="N (or site)", ylabel="decay rate / Gamma", logy=True),
+        table=(cols, rows), vectors=vectors)
 
 
 # ---------------------------------------------------------------- disorder
 
 
-def _disorder_point(args):
-    (N, kd_over_pi, kd, sample, cfg) = args
-    offsets = disorder_offsets(cfg.seed, sample, N, cfg.disorder.delta)
-    chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma,
-                                  offsets=tuple(offsets))
-    t0 = time.perf_counter()
-    pair, cls, _ = find_dimer(chain, "II", cfg, thresholds=DISORDER_THRESHOLDS)
-    wall = time.perf_counter() - t0
-    return (N, kd_over_pi, kd, sample, pair, cls, wall)
+def _disorder_point(task, cfg):
+    """The most subradiant DimerII of one disorder sample, or of the clean
+    chain for sample -1."""
+    N, kd_over_pi, kd, sample = task
+    offsets = None if sample < 0 else tuple(
+        disorder_offsets(cfg.seed, sample, N, cfg.disorder.delta))
+    chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma, offsets=offsets)
+    pair, records = _dimer(chain, "II", cfg, sample=sample,
+                           thresholds=DISORDER_THRESHOLDS)
+    rate = pair.decay_rate if pair is not None else None
+    return records, [], {}, (N, kd_over_pi, sample, rate)
 
 
 def cmd_disorder(cfg):
@@ -483,39 +468,19 @@ def cmd_disorder(cfg):
     (sample_index = -1)."""
     if cfg.disorder.samples < 1:
         raise ConfigError("disorder needs disorder.samples >= 1")
-    paths = _outpaths(cfg)
-    records, rows = [], []
-    clean = {}
-    for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values):
-        for N in cfg.N:
-            chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-            t0 = time.perf_counter()
-            pair, cls, _ = find_dimer(chain, "II", cfg,
-                                      thresholds=DISORDER_THRESHOLDS)
-            wall = time.perf_counter() - t0
-            if pair is not None:
-                records.append(make_record(
-                    "disorder", N, kd, "two-exc", cls.label, pair.lam,
-                    eig.SOLVER_MODE, pair.residual, wall, cfg.seed,
-                    sample_index=-1))
-            clean[(kd_over_pi, N)] = (pair.decay_rate if pair is not None
-                                      else None)
-    tasks = [(N, kd_over_pi, kd, s, cfg)
-             for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values)
-             for N in cfg.N
-             for s in range(cfg.disorder.samples)]
-    results = _pmap(_disorder_point, tasks, cfg.jobs)
-    for (N, kd_over_pi, kd, sample, pair, cls, wall) in results:
-        cl = clean[(kd_over_pi, N)]
-        if pair is None:
-            rows.append([N, kd_over_pi, sample, "", cl if cl else "", ""])
-            continue
-        records.append(make_record(
-            "disorder", N, kd, "two-exc", cls.label, pair.lam, eig.SOLVER_MODE,
-            pair.residual, wall, cfg.seed, sample_index=sample))
-        rows.append([N, kd_over_pi, sample, pair.decay_rate,
-                     cl if cl is not None else "",
-                     bool(cl is not None and pair.decay_rate < cl)])
+    grid = [(N, kd_over_pi, kd)
+            for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values)
+            for N in cfg.N]
+    # the clean chains first, so that their records lead the CSV
+    tasks = ([g + (-1,) for g in grid]
+             + [g + (s,) for g in grid for s in range(cfg.disorder.samples)])
+    records, _, _, rates = _sweep(cfg, _disorder_point, tasks)
+    clean = {(k, N): r for N, k, s, r in rates if s < 0}
+    rows = []
+    for N, k, s, r in rates[len(grid):]:
+        cl = clean[(k, N)]
+        rows.append([N, k, s, "" if r is None else r, "" if cl is None else cl,
+                     "" if r is None else bool(cl is not None and r < cl)])
     meta = {"delta": cfg.disorder.delta, "samples": cfg.disorder.samples}
     plot = []
     for N in cfg.N:
@@ -534,14 +499,11 @@ def cmd_disorder(cfg):
         if cln:
             plot.append((f"clean N={N}", [c[0] for c in cln],
                          [c[1] for c in cln]))
-    try:
-        line_plot(paths["svg"], plot, title="type-II rate under disorder",
-                  xlabel="kd / pi", ylabel="decay rate / Gamma", logy=True)
-    except ValueError:
-        pass
     cols = ("N", "kd_over_pi", "sample", "rate_dimerII", "rate_clean",
             "below_clean")
-    return _finish(cfg, paths, records, meta, tables=(cols, rows))
+    return _finish(cfg, records, meta, lambda svg: line_plot(
+        svg, plot, title="type-II rate under disorder", xlabel="kd / pi",
+        ylabel="decay rate / Gamma", logy=True), table=(cols, rows))
 
 
 # --------------------------------------------------------------- freespace
@@ -559,41 +521,38 @@ def _localized_state(spec, positions, z_defect, window=5.0):
     return best, best_frac
 
 
+def _freespace_point(task, cfg):
+    d_over_l, N, site = task
+    kernel = FreeSpace3D(lambda0=1.0, gamma0=cfg.gamma,
+                         polarization=cfg.kernel)
+    chain = ChainGeometry(N=N, k1d=kernel.k0, d=d_over_l, gamma1d=cfg.gamma)
+    t0 = time.perf_counter()
+    spec = eig.eig_dense_all(
+        build_missing_site_hamiltonian(chain, site, kernel=kernel))
+    wall = time.perf_counter() - t0
+    pair, frac = _localized_state(spec, np.delete(chain.positions, site),
+                                  chain.positions[site], window=5.0 * d_over_l)
+    record = make_record("freespace", N, kernel.k0 * d_over_l, "one-exc",
+                         "defect-localized", pair.lam, "dense", pair.residual,
+                         wall, cfg.seed)
+    row = [N, d_over_l, cfg.kernel, site, pair.lam.real, pair.lam.imag, frac]
+    key = f"pol={cfg.kernel},d_over_lambda0={d_over_l},N={N},site={site}"
+    return [record], [row], {key: pair.vector}, None
+
+
 def cmd_freespace(cfg):
     """Free-space dipole chains with a missing emitter: localized-state
     profiles (amplitude and phase) and decay rate vs N."""
-    paths = _outpaths(cfg)
-    records, rows, vectors = [], [], {}
+    tasks = [(d_over_l, N, site) for d_over_l in cfg.d_over_lambda0
+             for N in sorted(cfg.N)
+             for site in cfg.defect_sites or (N // 2,)]
+    records, rows, vectors, _ = _sweep(cfg, _freespace_point, tasks)
+    # rate = -2 Im lambda (row column 5); the default central site moves
+    # with N, so rate-vs-N convergence is tracked per spacing in that case
     rate_vs_N = {}
-    for d_over_l in cfg.d_over_lambda0:
-        kernel = FreeSpace3D(lambda0=1.0, gamma0=cfg.gamma,
-                             polarization=cfg.kernel)
-        for N in sorted(cfg.N):
-            sites = list(cfg.defect_sites) if cfg.defect_sites else [N // 2]
-            chain = ChainGeometry(N=N, k1d=kernel.k0, d=d_over_l,
-                                  gamma1d=cfg.gamma)
-            for site in sites:
-                t0 = time.perf_counter()
-                spec = eig.eig_dense_all(
-                    build_missing_site_hamiltonian(chain, site, kernel=kernel))
-                wall = time.perf_counter() - t0
-                z = np.delete(chain.positions, site)
-                z0 = chain.positions[site]
-                pair, frac = _localized_state(spec, z, z0,
-                                              window=5.0 * d_over_l)
-                records.append(make_record(
-                    "freespace", N, kernel.k0 * d_over_l, "one-exc",
-                    "defect-localized", pair.lam, "dense", pair.residual,
-                    wall, cfg.seed))
-                rows.append([N, d_over_l, cfg.kernel, site, pair.lam.real,
-                             pair.lam.imag, frac])
-                key = f"pol={cfg.kernel},d_over_lambda0={d_over_l},N={N},site={site}"
-                vectors[key] = pair.vector
-                # the default central site moves with N; rate-vs-N
-                # convergence is tracked per spacing in that case
-                skey = "central" if not cfg.defect_sites else site
-                rate_vs_N.setdefault((d_over_l, skey), []).append(
-                    (N, pair.decay_rate))
+    for r in rows:
+        key = (r[1], r[3] if cfg.defect_sites else "central")
+        rate_vs_N.setdefault(key, []).append((r[0], -2.0 * r[5]))
     meta = {"polarization": cfg.kernel}
     for (d_over_l, site), pts in rate_vs_N.items():
         pts = sorted(pts)
@@ -614,100 +573,100 @@ def cmd_freespace(cfg):
             amps = np.abs(np.asarray(vec))
             plot.append((f"|psi| {key}", list(range(len(amps))),
                          (amps / amps.max()).tolist()))
-    try:
-        line_plot(paths["svg"], plot, title="free-space defect states",
-                  xlabel="N (rates) / site (profiles)",
-                  ylabel="rate, normalized |psi|", logy=False)
-    except ValueError:
-        pass
     cols = ("N", "d_over_lambda0", "polarization", "site", "re_lambda",
             "im_lambda", "near_defect_weight")
-    return _finish(cfg, paths, records, meta, tables=(cols, rows),
-                   vectors=vectors)
+    return _finish(cfg, records, meta, lambda svg: line_plot(
+        svg, plot, title="free-space defect states",
+        xlabel="N (rates) / site (profiles)",
+        ylabel="rate, normalized |psi|", logy=False),
+        table=(cols, rows), vectors=vectors)
 
 
 # --------------------------------------------------------------- map-check
+
+
+def _fold_point(task, cfg):
+    """Fold/unfold, halving and parity residuals of one (kd, K, M) point."""
+    kd_over_pi, kd, Kd_over_pi, Kd, M = task
+    spec_rel = RelativeModelSpec(Kd=Kd, M=M, kd=kd, gamma1d=cfg.gamma)
+    Hrel = build_relative_hamiltonian(spec_rel)
+    Hdef = build_defect_relative_hamiltonian(spec_rel)
+    t0 = time.perf_counter()
+    sp = eig.eig_dense_all(Hrel)
+    wall = time.perf_counter() - t0
+    records, fold_res = [], 0.0
+    for p in sp.pairs:
+        folded = theory.fold_even_extension(p.vector)
+        r = np.abs(Hdef @ folded - 0.5 * p.lam * folded).max()
+        fold_res = max(fold_res, float(r))
+        records.append(make_record(
+            "map-check", M, kd, "relative", "relative-mode", p.lam, "dense",
+            p.residual, wall, cfg.seed))
+    wdef = np.linalg.eigvals(Hdef)
+    match = eig.nearest_match(wdef, 0.5 * sp.eigenvalues)
+    halving = float(np.max(np.abs(wdef[match] - 0.5 * sp.eigenvalues)))
+    parity = ""
+    if abs(Kd - np.pi) < 1e-12 and kd < 0.5 * np.pi and M >= 2:
+        pr = theory.parity_reduce(kd)
+        parity = float(np.abs(pr.reduce_even_block(Hdef, M)
+                              - pr.target_matrix(M, cfg.gamma)).max())
+    return records, [[M, Kd_over_pi, kd_over_pi, fold_res, halving,
+                      parity]], {}, None
+
+
+def _profile_point(task, cfg):
+    """Overlap of a full-chain DimerI Delta profile with the relative
+    model's bound state: (meta key, overlap), or None without a DimerI."""
+    N, kd_over_pi, kd = task
+    chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
+    pair, cls, _ = find_dimer(chain, "I", cfg)
+    if pair is None:
+        return [], [], {}, None
+    dec = analysis.k_delta_decompose(pair.vector, chain)
+    prof = np.sqrt(dec.delta_profile)
+    prof /= np.linalg.norm(prof)
+    srel = eig.eig_dense_all(build_relative_hamiltonian(
+        RelativeModelSpec(Kd=0.0, M=N - 1, kd=kd, gamma1d=cfg.gamma)))
+    # the bound state, not the most subradiant: truncation noise
+    # and band-edge states compete at small M
+    om = theory.asymptotic_dimer(kd, "I", cfg.gamma).omega
+    i = int(np.argmin(np.abs(srel.eigenvalues - om)))
+    ground = np.abs(srel.pairs[i].vector)
+    ground /= np.linalg.norm(ground)
+    key = f"profile_overlap_N={N},kd_over_pi={kd_over_pi}"
+    return [], [], {}, (key, float(np.dot(prof, ground)))
 
 
 def cmd_mapcheck(cfg):
     """Verify the confinement-localization fold/unfold and parity
     reduction identities over a (M, K, kd) grid; optionally compare a
     full-chain dimer profile against the relative model."""
-    paths = _outpaths(cfg)
-    records, rows = [], []
-    worst = {"fold": 0.0, "halving": 0.0, "parity": 0.0}
-    for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values):
-        for Kd_over_pi, Kd in zip(cfg.Kd_over_pi, cfg.Kd_values):
-            for M in cfg.M:
-                spec_rel = RelativeModelSpec(Kd=Kd, M=M, kd=kd,
-                                             gamma1d=cfg.gamma)
-                Hrel = build_relative_hamiltonian(spec_rel)
-                Hdef = build_defect_relative_hamiltonian(spec_rel)
-                t0 = time.perf_counter()
-                sp = eig.eig_dense_all(Hrel)
-                wall = time.perf_counter() - t0
-                fold_res = 0.0
-                for p in sp.pairs:
-                    folded = theory.fold_even_extension(p.vector)
-                    r = np.abs(Hdef @ folded - 0.5 * p.lam * folded).max()
-                    fold_res = max(fold_res, float(r))
-                    records.append(make_record(
-                        "map-check", M, kd, "relative", "relative-mode",
-                        p.lam, "dense", p.residual, wall, cfg.seed))
-                wdef = np.linalg.eigvals(Hdef)
-                match = eig.nearest_match(wdef, 0.5 * sp.eigenvalues)
-                halving = float(np.max(np.abs(
-                    wdef[match] - 0.5 * sp.eigenvalues)))
-                parity = ""
-                if abs(Kd - np.pi) < 1e-12 and kd < 0.5 * np.pi and M >= 2:
-                    pr = theory.parity_reduce(kd)
-                    Hpi = build_defect_relative_hamiltonian(spec_rel)
-                    red = pr.reduce_even_block(Hpi, M)
-                    parity = float(np.abs(red - pr.target_matrix(
-                        M, cfg.gamma)).max())
-                    worst["parity"] = max(worst["parity"], parity)
-                worst["fold"] = max(worst["fold"], fold_res)
-                worst["halving"] = max(worst["halving"], halving)
-                rows.append([M, Kd_over_pi, kd_over_pi, fold_res, halving,
-                             parity])
+    kds = list(zip(cfg.kd_over_pi, cfg.kd_values))
+    grid = [(kd_over_pi, kd, Kd_over_pi, Kd, M) for kd_over_pi, kd in kds
+            for Kd_over_pi, Kd in zip(cfg.Kd_over_pi, cfg.Kd_values)
+            for M in cfg.M]
+    records, rows, _, _ = _sweep(cfg, _fold_point, grid)
+    worst = {"fold": max([0.0] + [r[3] for r in rows]),
+             "halving": max([0.0] + [r[4] for r in rows]),
+             "parity": max([0.0] + [r[5] for r in rows if r[5] != ""])}
     meta = {"max_residuals": worst,
             "note": "relative-sector rows store M in the N column"}
     # cross-model profile comparison on a full chain, when N is given
-    for N in cfg.N:
-        for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values):
-            chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-            pair, cls, _ = find_dimer(chain, "I", cfg)
-            if pair is None:
-                continue
-            dec = analysis.k_delta_decompose(pair.vector, chain)
-            prof = np.sqrt(dec.delta_profile)
-            prof /= np.linalg.norm(prof)
-            srel = eig.eig_dense_all(build_relative_hamiltonian(
-                RelativeModelSpec(Kd=0.0, M=N - 1, kd=kd, gamma1d=cfg.gamma)))
-            # the bound state, not the most subradiant: truncation noise
-            # and band-edge states compete at small M
-            om = theory.asymptotic_dimer(kd, "I", cfg.gamma).omega
-            i = int(np.argmin(np.abs(srel.eigenvalues - om)))
-            ground = np.abs(srel.pairs[i].vector)
-            ground /= np.linalg.norm(ground)
-            overlap = float(np.dot(prof, ground))
-            meta[f"profile_overlap_N={N},kd_over_pi={kd_over_pi}"] = overlap
+    *_, overlaps = _sweep(cfg, _profile_point,
+                          [(N,) + k for N in cfg.N for k in kds])
+    meta.update(o for o in overlaps if o is not None)
     plot = []
     for kd_over_pi in cfg.kd_over_pi:
         for Kd_over_pi in cfg.Kd_over_pi:
-            pts = [(r[0], max(r[3], 1e-18)) for r in rows
-                   if r[1] == Kd_over_pi and r[2] == kd_over_pi]
-            pts.sort()
+            pts = sorted((r[0], max(r[3], 1e-18)) for r in rows
+                         if r[1] == Kd_over_pi and r[2] == kd_over_pi)
             plot.append((f"fold K={Kd_over_pi}pi kd={kd_over_pi}pi",
                          [p[0] for p in pts], [p[1] for p in pts]))
-    try:
-        line_plot(paths["svg"], plot, title="mapping residuals", xlabel="M",
-                  ylabel="max residual", logy=True)
-    except ValueError:
-        pass
     cols = ("M", "Kd_over_pi", "kd_over_pi", "fold_residual",
             "halving_mismatch", "parity_residual")
-    return _finish(cfg, paths, records, meta, tables=(cols, rows))
+    return _finish(cfg, records, meta, lambda svg: line_plot(
+        svg, plot, title="mapping residuals", xlabel="M",
+        ylabel="max residual", logy=True), table=(cols, rows))
 
 
 COMMANDS = {

@@ -7,6 +7,7 @@ physics of each experiment is covered by the acceptance suite.
 import csv
 import json
 import os
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -60,7 +61,7 @@ def test_unknown_nested_keys():
 
 
 def test_range_parsing_inclusive():
-    cfg = parse_config({"experiment": "spectrum",
+    cfg = parse_config({"experiment": "scaling",
                         "N": {"start": 50, "stop": 150, "step": 10}})
     assert cfg.N == tuple(range(50, 151, 10))
     assert cfg.N[-1] == 150
@@ -115,10 +116,51 @@ def test_seed_mandatory_for_disorder_sampling():
     ({"dump_vectors": "no"}, "dump_vectors"),
     ({"dump_vectors": 1}, "dump_vectors"),
     ({"kd_over_pi": 0.5}, "kd_over_pi"),
+    ({"N": [50.9]}, "N must be an integer"),
+    ({"N": {"start": 2, "stop": 6, "step": 1.5}}, "N step"),
+    ({"N": {"start": 2.5, "stop": 6}}, "N start"),
+    ({"N": [True]}, "N must be an integer"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.0}, "seed"),
+    ({"jobs": 2.0}, "jobs"),
+    ({"M": [1.5]}, "M must be an integer"),
+    ({"defect_sites": [3.0]}, "defect_sites"),
+    ({"solver": {"count": True}}, "solver.count"),
+    ({"solver": {"max_restarts": "9"}}, "solver.max_restarts"),
+    ({"solver": {"max_subspace": 2.5}}, "solver.max_subspace"),
+    ({"disorder": {"samples": 2.0}}, "disorder.samples"),
 ])
 def test_field_validation(doc, msg):
     with pytest.raises(ConfigError, match=msg):
         parse_config({"experiment": "spectrum", **doc})
+
+
+@pytest.mark.parametrize("exp,doc,msg", [
+    ("defect", {"N": [20], "defect_sites": [0]}, "defect site 0"),
+    ("defect", {"N": [20], "defect_sites": [25]}, "defect site 25"),
+    ("defect", {"N": [20, 2]}, "defect site 1"),  # default N // 2
+    ("freespace", {"N": [20], "defect_sites": [20]}, "defect site 20"),
+    ("freespace", {"N": [20], "defect_sites": [-1]}, "defect site -1"),
+    ("scaling", {"N": [1]}, "N values must be at least 2"),
+    ("phase-diagram", {"N": [1, 8]}, "N values must be at least 2"),
+    ("freespace", {"N": [1]}, "N values must be at least 2"),
+    ("map-check", {"M": [0, 1]}, "M values must be at least 1"),
+    ("spectrum", {"N": [6, 80]}, "cap exceeded"),
+])
+def test_domain_checked_at_parse(exp, doc, msg):
+    # each of these used to fail with a traceback after work had started
+    with pytest.raises(ConfigError, match=msg):
+        parse_config({"experiment": exp, **doc})
+
+
+def test_domain_limits_accepted():
+    parse_config({"experiment": "defect", "N": [20], "defect_sites": [1, 18]})
+    parse_config({"experiment": "freespace", "N": [20],
+                  "defect_sites": [0, 19]})
+    parse_config({"experiment": "spectrum", "N": [2, 70]})
+    parse_config({"experiment": "spectrum", "N": [80],
+                  "solver": {"fallback": True}})
+    parse_config({"experiment": "map-check", "M": [1]})
 
 
 def test_kd_below_half_pi_checked_at_parse():
@@ -318,26 +360,61 @@ def test_cli_spectrum_end_to_end(tmp_path, capsys):
     assert svg.startswith("<svg") or "<svg" in svg
 
 
-def test_cli_rerun_byte_identical_except_walltime(tmp_path, capsys):
-    cfg = {"experiment": "spectrum", "N": [10], "kd_over_pi": [0.2],
-           "dump_vectors": True, "seed": 4, "out": str(tmp_path / "a")}
-    pa = write_cfg(tmp_path, cfg, "a.json")
-    assert run_cli(["spectrum", "--config", pa]) == 0
-    csv_a = capsys.readouterr().out.strip()
-    rows_a = read_csv(csv_a)
-    vec_a = open(csv_a[:-4] + ".vectors.json", "rb").read()
-    svg_a = open(csv_a[:-4] + ".svg", "rb").read()
-    os.remove(csv_a)
-    assert run_cli(["spectrum", "--config", pa]) == 0
-    csv_b = capsys.readouterr().out.strip()
-    assert csv_a == csv_b  # same run hash -> same path
-    rows_b = read_csv(csv_b)
+# one tiny config per experiment, for the rerun and jobs checks
+TINY = {
+    "spectrum": {"N": [10], "kd_over_pi": [0.2], "dump_vectors": True,
+                 "seed": 4},
+    "phase-diagram": {"N": [10, 12], "kd_over_pi": [0.2, 0.25]},
+    "scaling": {"N": [10, 12, 14], "kd_over_pi": [0.2, 0.25]},
+    "defect": {"N": [16, 20], "kd_over_pi": [0.25, 0.3],
+               "defect_sites": [5, 8], "dump_vectors": True},
+    "disorder": {"N": [12], "kd_over_pi": [0.18, 0.2],
+                 "disorder": {"delta": 0.01, "samples": 2}, "seed": 6},
+    "freespace": {"N": [16, 20], "kernel": "transverse"},
+    "map-check": {"N": [12], "M": [1, 2], "kd_over_pi": [0.2]},
+}
+
+
+def run_tiny(tmp_path, capsys, exp, name, **extra):
+    """Run the TINY config of exp through the CLI.  Returns the CSV path
+    and the outputs by extension: the CSV rows without the wall_time
+    column, the other files as bytes."""
+    path = write_cfg(tmp_path, {"experiment": exp, **TINY[exp],
+                                "out": str(tmp_path / name), **extra},
+                     name + ".json")
+    assert run_cli([exp, "--config", path]) == 0
+    csv_path = capsys.readouterr().out.strip()
+    base = csv_path[:-len(".csv")]
     wt = COLUMNS.index("wall_time")
-    assert len(rows_a) == len(rows_b)
-    for ra, rb in zip(rows_a, rows_b):
-        assert ra[:wt] == rb[:wt] and ra[wt + 1:] == rb[wt + 1:]
-    assert vec_a == open(csv_b[:-4] + ".vectors.json", "rb").read()
-    assert svg_a == open(csv_b[:-4] + ".svg", "rb").read()
+    out = {".csv": [r[:wt] + r[wt + 1:] for r in read_csv(csv_path)]}
+    for ext in (".grid.csv", ".meta.json", ".vectors.json", ".svg"):
+        if os.path.exists(base + ext):
+            with open(base + ext, "rb") as f:
+                out[ext] = f.read()
+    return csv_path, out
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS)
+def test_cli_rerun_byte_identical_except_walltime(tmp_path, capsys, exp):
+    csv_a, first = run_tiny(tmp_path, capsys, exp, "run")
+    assert len(first[".csv"]) > 1 and ".svg" in first
+    shutil.rmtree(tmp_path / "run")
+    csv_b, second = run_tiny(tmp_path, capsys, exp, "run")
+    assert csv_a == csv_b  # same run hash -> same path
+    assert first == second
+
+
+@pytest.mark.parametrize("exp", EXPERIMENTS)
+def test_jobs_do_not_change_outputs(tmp_path, capsys, exp):
+    # results are gathered in task order whatever the number of workers;
+    # the metadata differs only in the echoed config and its hash
+    _, serial = run_tiny(tmp_path, capsys, exp, "serial", jobs=1)
+    _, pooled = run_tiny(tmp_path, capsys, exp, "pooled", jobs=2)
+    metas = [json.loads(out.pop(".meta.json")) for out in (serial, pooled)]
+    assert [m.pop("config")["jobs"] for m in metas] == [1, 2]
+    assert metas[0].pop("run_hash") != metas[1].pop("run_hash")
+    assert metas[0] == metas[1]
+    assert serial == pooled
 
 
 def test_cli_solver_override_changes_hash(tmp_path, capsys):
