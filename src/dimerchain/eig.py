@@ -7,10 +7,11 @@ asymptotic eigenvalues of the hard-core two-excitation sector.
 The shifted pair-sector systems are solved exactly in O(N^2) memory:
 H2 is the off-diagonal block of the Kronecker sum L(X) = H1 X + X H1 on
 symmetric N x N matrices, so (H2 - sigma)^{-1} is a Schur complement of
-(L - sigma)^{-1}.  The latter is one Sylvester solve in the complex
-Schur basis of H1 (Bartels & Stewart, CACM 15:820, 1972), and the
-complement is an N x N capacitance correction (Hager, SIAM Rev.
-31:221, 1989).  No D x D array is formed, D = N(N-1)/2.
+(L - sigma)^{-1}.  In the eigenbasis of H1 the latter is diagonal, one
+elementwise division between GEMMs (the diagonal case of Bartels &
+Stewart, CACM 15:820, 1972), and the complement is an N x N capacitance
+correction (Hager, SIAM Rev. 31:221, 1989).  No D x D array is formed,
+D = N(N-1)/2.
 
 All Hamiltonians here are complex symmetric but non-normal; general
 Arnoldi is used for robustness, and convergence is always judged by the
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 DENSE_CAP_DEFAULT = 6000
 
@@ -136,36 +136,24 @@ def _make_shift_solver(H1, sigma):
 
     H2 is the hard-core two-excitation sector of the complex symmetric
     one-excitation Hamiltonian H1, in the row-major pair order of
-    numpy.triu_indices(N, 1).  Set-up is one Schur form of H1 and an
-    N x N capacitance LU; each apply is two Sylvester solves and one
-    N x N LU solve.  The returned callable carries its shift as .sigma.
+    numpy.triu_indices(N, 1).  Set-up is one eigendecomposition
+    H1 = V diag(lam) W, W = V^{-1}, and an N x N capacitance LU built from
+    N GEMMs; each apply is six N x N GEMMs and one N x N LU solve.  The
+    returned callable carries its shift as .sigma.
     """
     H1 = np.asarray(H1, dtype=complex)
     N = H1.shape[0]
     sigma = complex(sigma)
-    T, Q = sla.schur(H1, output="complex")
-    Ts = T - 0.5 * sigma * np.eye(N)
-    Tc = Ts.conj()
-    Qh, Qc = Q.conj().T, Q.conj()
+    lam, V = sla.eig(H1)
+    W = np.linalg.inv(V)
+    # H1 = H1^T gives L(V Z V^T) = V [(lam_i + lam_j) Z_ij] V^T
+    Dinv = 1.0 / (lam[:, None] + lam[None, :] - sigma)
 
-    def sylvester_schur(C):
-        # Ts Y + Y Ts^T = C; complex trsyl transposes only as 'C', so
-        # conj(Ts) with 'C' supplies Ts^T
-        Y, scale, info = lapack.ztrsyl(Ts, Tc, C, trana="N", tranb="C")
-        if info < 0:
-            raise ValueError(f"ztrsyl: illegal argument {-info}")
-        return Y / scale
-
-    def shifted_inverse(B):
-        # (L - sigma)^{-1} B with H1 = Q T Q^H = conj(Q) T^T Q^T
-        return Q @ sylvester_schur(Qh @ B @ Qc) @ Q.T
-
-    # capacitance G[:, b] = diag((L - sigma)^{-1} e_b e_b^T): the block of
-    # the inverse on the N double-occupancy coordinates H2 leaves out
-    G = np.empty((N, N), dtype=complex)
-    for b in range(N):
-        Y = sylvester_schur(np.outer(Qc[b], Qc[b]))
-        G[:, b] = np.einsum("ai,ai->a", Q @ Y, Q)
+    # capacitance G[a, b] = diag((L - sigma)^{-1} e_b e_b^T)[a]: the block
+    # of the inverse on the N double-occupancy coordinates H2 leaves out
+    G = np.zeros((N, N), dtype=complex)
+    for i in range(N):
+        G += np.outer(V[:, i], W[i]) * ((V * Dinv[i]) @ W)
     lu = sla.lu_factor(G, check_finite=False)
     iu = np.triu_indices(N, 1)
 
@@ -173,12 +161,12 @@ def _make_shift_solver(H1, sigma):
         X = np.zeros((N, N), dtype=complex)
         X[iu] = x
         X.T[iu] = x
-        Y = shifted_inverse(X)
-        # Schur complement: cancel the diagonal that (L - sigma)^{-1}
-        # fills in, so the result solves the hard-core problem
-        c = sla.lu_solve(lu, np.diag(Y), check_finite=False)
-        Y -= shifted_inverse(np.diag(c))
-        return Y[iu]
+        # (L - sigma)^{-1} X = V Z V^T; then the Schur complement cancels
+        # the diagonal it fills in, so the result solves the hard-core problem
+        VZ = V @ ((W @ X @ W.T) * Dinv)
+        c = sla.lu_solve(lu, np.einsum("ai,ai->a", VZ, V), check_finite=False)
+        VZ -= V @ (((W * c) @ W.T) * Dinv)
+        return (VZ @ V.T)[iu]
 
     solve.sigma = sigma
     return solve

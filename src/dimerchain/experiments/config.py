@@ -111,6 +111,12 @@ def _as_int(value, where):
     return int(value)
 
 
+def _as_float(value, where):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where} must be a number, not {value!r}")
+    return float(value)
+
+
 def _as_int_list(value, where):
     if isinstance(value, dict):
         _reject_unknown(value, _RANGE_KEYS, where)
@@ -134,9 +140,9 @@ def _as_bool(value, where):
 
 def _as_float_list(value, where):
     if isinstance(value, (list, tuple)):
-        out = tuple(float(v) for v in value)
+        out = tuple(_as_float(v, where) for v in value)
     else:
-        out = (float(value),)
+        out = (_as_float(value, where),)
     if not out:
         raise ConfigError(f"{where} must not be empty")
     return out
@@ -165,7 +171,7 @@ def parse_config(doc, experiment=None):
     if solver_doc.get("mode", "si-direct") not in SOLVER_MODES:
         raise ConfigError(f"solver.mode must be one of {SOLVER_MODES}")
     solver = SolverSettings(
-        tol=float(solver_doc.get("tol", 1e-10)),
+        tol=_as_float(solver_doc.get("tol", 1e-10), "solver.tol"),
         count=_as_int(solver_doc.get("count", 8), "solver.count"),
         max_restarts=_as_int(solver_doc.get("max_restarts", 200),
                              "solver.max_restarts"),
@@ -183,7 +189,7 @@ def parse_config(doc, experiment=None):
         raise ConfigError("disorder must be an object")
     _reject_unknown(dis_doc, _DISORDER_KEYS, "disorder")
     disorder = DisorderSettings(
-        delta=float(dis_doc.get("delta", 0.0)),
+        delta=_as_float(dis_doc.get("delta", 0.0), "disorder.delta"),
         samples=_as_int(dis_doc.get("samples", 0), "disorder.samples"),
     )
     if disorder.delta < 0 or disorder.delta >= 0.5:
@@ -200,7 +206,7 @@ def parse_config(doc, experiment=None):
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in an unsigned 64-bit integer")
 
-    gamma = float(doc.get("gamma", 1.0))
+    gamma = _as_float(doc.get("gamma", 1.0), "gamma")
     if gamma <= 0:
         raise ConfigError("gamma must be positive")
 
@@ -257,6 +263,9 @@ def parse_config(doc, experiment=None):
                                       f"{lo}..{N - hi} for {exp} at N={N}")
     if min(cfg.M, default=1) < 1:
         raise ConfigError("M values must be at least 1")
+    if exp == "freespace" and kernel == "waveguide":
+        raise ConfigError("freespace needs a free-space kernel: "
+                          "transverse or parallel")
     return cfg
 
 

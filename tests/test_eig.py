@@ -6,6 +6,8 @@ where both are cheap; determinism and shift invariance are contract
 tests for the experiment runner.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from dimerchain.eig import (
     nearest_match,
     residual_norm,
 )
+from dimerchain.experiments.runner import disorder_offsets
 from dimerchain.model import (
     ChainGeometry,
     TwoExcitationBasis,
@@ -165,8 +168,8 @@ def test_target_matches_dense_disordered():
         assert all(residual_norm(H2, p) <= cfg.tol for p in spec.pairs)
 
 
-def test_shift_solver_inverts_the_pair_sector():
-    chain, H2 = two_exc(12, 0.2)
+def check_inverts_the_pair_sector(chain):
+    H2 = build_two_hamiltonian(chain)
     sigma = 0.3 - 0.01j
     solve = _make_shift_solver(build_single_hamiltonian(chain), sigma)
     rng = np.random.default_rng(2)
@@ -174,6 +177,43 @@ def test_shift_solver_inverts_the_pair_sector():
     want = np.linalg.solve(H2 - sigma * np.eye(H2.shape[0]), x)
     assert np.linalg.norm(solve(x) - want) <= 1e-11 * np.linalg.norm(want)
     assert solve.sigma == sigma
+
+
+def test_shift_solver_inverts_the_pair_sector():
+    check_inverts_the_pair_sector(ChainGeometry.from_kd(12, 0.2 * np.pi))
+
+
+@pytest.mark.parametrize("N,kd_over_pi,delta", [
+    (N, kd, 0.0) for N in (2, 3, 30) for kd in (0.02, 0.25, 0.49)
+] + [(30, 0.1676, 0.1)])
+def test_shift_solver_inverts_across_sizes_and_kd(N, kd_over_pi, delta):
+    # delta > 0: a disordered chain, whose H1 is still complex symmetric
+    offsets = disorder_offsets(3, 0, N, delta) if delta else None
+    check_inverts_the_pair_sector(
+        ChainGeometry.from_kd(N, kd_over_pi * np.pi, offsets=offsets))
+
+
+def test_shift_solver_residual_at_n300():
+    # D = 44850: one D x D complex array would be 32 GB, so the check goes
+    # through the fast matvec, and the whole solve stays O(N^2) in memory.
+    # Near an eigenvalue ||y|| >> ||x||, so the residual is relative to y
+    kd = 0.1676 * np.pi
+    chain = ChainGeometry.from_kd(300, kd)
+    op = TwoExcitationWaveguideOp(chain)
+    H1 = build_single_hamiltonian(chain)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    for dimer_type in ("I", "II"):
+        sigma = theory.asymptotic_dimer(kd, dimer_type).omega
+        tracemalloc.start()
+        try:
+            y = _make_shift_solver(H1, sigma)(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r = op.matvec(y) - sigma * y - x
+        assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(y)
+        assert peak < 64e6
 
 
 def test_target_shift_invariance():

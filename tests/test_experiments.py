@@ -129,6 +129,12 @@ def test_seed_mandatory_for_disorder_sampling():
     ({"solver": {"max_restarts": "9"}}, "solver.max_restarts"),
     ({"solver": {"max_subspace": 2.5}}, "solver.max_subspace"),
     ({"disorder": {"samples": 2.0}}, "disorder.samples"),
+    ({"gamma": True}, "gamma"),
+    ({"kd_over_pi": "0.2"}, "kd_over_pi"),
+    ({"kd_over_pi": [0.2, True]}, "kd_over_pi"),
+    ({"Kd_over_pi": ["1"]}, "Kd_over_pi"),
+    ({"solver": {"tol": "1e-9"}}, "solver.tol"),
+    ({"disorder": {"delta": "0.01"}}, "disorder.delta"),
 ])
 def test_field_validation(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -146,6 +152,7 @@ def test_field_validation(doc, msg):
     ("freespace", {"N": [1]}, "N values must be at least 2"),
     ("map-check", {"M": [0, 1]}, "M values must be at least 1"),
     ("spectrum", {"N": [6, 80]}, "cap exceeded"),
+    ("freespace", {"N": [20]}, "free-space kernel"),  # default waveguide
 ])
 def test_domain_checked_at_parse(exp, doc, msg):
     # each of these used to fail with a traceback after work had started
@@ -155,7 +162,7 @@ def test_domain_checked_at_parse(exp, doc, msg):
 
 def test_domain_limits_accepted():
     parse_config({"experiment": "defect", "N": [20], "defect_sites": [1, 18]})
-    parse_config({"experiment": "freespace", "N": [20],
+    parse_config({"experiment": "freespace", "N": [20], "kernel": "parallel",
                   "defect_sites": [0, 19]})
     parse_config({"experiment": "spectrum", "N": [2, 70]})
     parse_config({"experiment": "spectrum", "N": [80],
@@ -172,7 +179,8 @@ def test_kd_below_half_pi_checked_at_parse():
         parse_config({"experiment": "map-check", "N": [20], "kd_over_pi": 0.6})
     # the relative models and free-space chains take kd up to pi
     parse_config({"experiment": "map-check", "kd_over_pi": 0.6})
-    parse_config({"experiment": "freespace", "kd_over_pi": 0.6})
+    parse_config({"experiment": "freespace", "kd_over_pi": 0.6,
+                  "kernel": "transverse"})
 
 
 def test_legacy_solver_mode_accepted_and_ignored():
@@ -441,6 +449,14 @@ def test_cli_restart_limit_is_one_error_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "restarts" in err
+
+
+def test_numeric_fields_accept_int_and_float():
+    cfg = parse_config({"experiment": "disorder", "gamma": 2, "kd_over_pi": 0.2,
+                        "solver": {"tol": 1e-9}, "disorder": {"delta": 0}})
+    assert cfg.gamma == 2.0 and isinstance(cfg.gamma, float)
+    assert cfg.kd_over_pi == (0.2,) and cfg.solver.tol == 1e-9
+    assert cfg.disorder.delta == 0.0 and isinstance(cfg.disorder.delta, float)
 
 
 def test_cli_defect_end_to_end(tmp_path, capsys):
