@@ -16,6 +16,7 @@ from .analysis import (
     band_edge_re,
     branch_summary,
     classify_state,
+    classify_states,
     decay_rate,
     fermionic_basis,
     fermionic_overlap,

@@ -20,7 +20,9 @@ around omega_I or omega_II with the matching dominant (K, Delta);
 fermionic states are recognized by their overlap with antisymmetrized
 products of one-excitation eigenvectors, computed exactly for all pairs
 at once via W = conj(V)^T A_psi conj(V) with A_psi the antisymmetric
-pair matrix.
+pair matrix.  classify_states labels a whole spectrum in chunks of
+states: one precomputed gather of the separation rows, one FFT and one
+batch of W products per chunk; classify_state is its one-state case.
 """
 
 from dataclasses import dataclass, field
@@ -81,6 +83,33 @@ class KDeltaDecomposition:
         return float(self.delta_profile[self.delta_grid % 2 == 1].sum() / total)
 
 
+def _separation_index(N):
+    """(N-1) x N gather index of the separation rows.
+
+    Entry [Delta - 1, m] is the flat index of the pair (m, m + Delta) in
+    row-major pair order; the slots m >= N - Delta point one past the last
+    pair, where callers keep a zero.
+    """
+    delta = np.arange(1, N)[:, None]
+    m = np.arange(N)
+    flat = m * N - m * (m + 1) // 2 + delta - 1
+    return np.where(m < N - delta, flat, N * (N - 1) // 2)
+
+
+def _frame_factors(N):
+    """(phase, scale) with a(Delta, K_j) = scale * phase * FFT(row Delta)."""
+    deltas = np.arange(1, N)
+    phase = np.exp(-1j * np.pi * np.outer(deltas, np.arange(N)) / N)
+    scale = np.sqrt(N - deltas)[:, None] / N
+    return phase, scale
+
+
+def _kd_grid(N):
+    """K_j d = 2 pi j / N wrapped to (-pi, pi], FFT bin order."""
+    Kd = 2.0 * np.pi * np.arange(N) / N
+    return np.where(Kd > np.pi, Kd - 2.0 * np.pi, Kd)
+
+
 def k_delta_decompose(state, chain, basis=None):
     """Least-squares K-Delta decomposition of a two-excitation state.
 
@@ -96,28 +125,18 @@ def k_delta_decompose(state, chain, basis=None):
     psi = np.asarray(state, dtype=complex).reshape(-1)
     if psi.shape[0] != basis.dim:
         raise ValueError("state length does not match the two-excitation basis")
-    deltas = np.arange(1, N)
-    padded = np.zeros((N - 1, N), dtype=complex)
-    for delta in deltas:
-        m = np.arange(N - delta)
-        flat = m * N - m * (m + 1) // 2 + (delta - 1)
-        padded[delta - 1, : N - delta] = psi[flat]
-    F = np.fft.fft(padded, axis=1)
-    j = np.arange(N)
-    phase = np.exp(-1j * np.pi * np.outer(deltas, j) / N)
-    scale = np.sqrt(N - deltas)[:, None] / N
-    coeff = scale * phase * F
+    padded = np.append(psi, 0.0)[_separation_index(N)]
+    phase, scale = _frame_factors(N)
+    coeff = scale * phase * np.fft.fft(padded, axis=1)
     # exact reconstruction check: invert the closed form
     F_rec = coeff * np.conj(phase) / scale
     rec = np.fft.ifft(F_rec, axis=1)
     residual = float(np.abs(rec - padded).max())
     weights = np.abs(coeff) ** 2
-    Kd = 2.0 * np.pi * j / N
-    Kd = np.where(Kd > np.pi, Kd - 2.0 * np.pi, Kd)
     return KDeltaDecomposition(
         N=N,
-        delta_grid=deltas,
-        Kd_grid=Kd,
+        delta_grid=np.arange(1, N),
+        Kd_grid=_kd_grid(N),
         coefficients=coeff,
         weights=weights,
         delta_profile=np.abs(padded) ** 2 @ np.ones(N),
@@ -133,18 +152,34 @@ class FermionicBasis:
 
     values: np.ndarray
     vectors: np.ndarray  # columns, unit norm
-    gram: np.ndarray  # V^H V
-    norms2: np.ndarray
+    pair_norms2: np.ndarray  # ||a_ij||^2 per pair i < j, row-major order
 
 
 def fermionic_basis(chain, kernel=None):
     H1 = build_single_hamiltonian(chain, kernel)
     values, vectors = np.linalg.eig(H1)
     norms2 = np.einsum("ij,ij->j", np.conj(vectors), vectors).real
-    return FermionicBasis(
-        values=values, vectors=vectors, gram=np.conj(vectors.T) @ vectors,
-        norms2=norms2,
-    )
+    gram = np.conj(vectors.T) @ vectors
+    pair_norms2 = np.outer(norms2, norms2) - np.abs(gram) ** 2
+    return FermionicBasis(values=values, vectors=vectors,
+                          pair_norms2=pair_norms2[np.triu_indices(len(values), 1)])
+
+
+def _fermionic_overlaps(P, ferm, basis):
+    """fermionic_overlap of each row of P; returns arrays (overlap, i, j)."""
+    N = basis.N
+    m, n = basis.pair_m, basis.pair_n
+    A = np.zeros((P.shape[0], N, N), dtype=complex)
+    A[:, m, n] = P
+    A[:, n, m] = -P
+    Vc = np.conj(ferm.vectors)
+    num = np.abs((Vc.T @ A @ Vc)[:, m, n]) ** 2
+    psi2 = np.einsum("ij,ij->i", np.conj(P), P).real
+    den = ferm.pair_norms2 * psi2[:, None]
+    ratio = np.where(den > 1e-300, num / np.maximum(den, 1e-300), 0.0)
+    best = np.argmax(ratio, axis=1)
+    top = ratio[np.arange(len(best)), best]
+    return np.sqrt(np.clip(top, 0.0, 1.0)), m[best], n[best]
 
 
 def fermionic_overlap(state, ferm, basis=None):
@@ -156,24 +191,11 @@ def fermionic_overlap(state, ferm, basis=None):
     ||a_ij||^2 = ||v_i||^2 ||v_j||^2 - |(V^H V)_ij|^2.  Returns
     (overlap in [0, 1], i, j).
     """
-    N = ferm.vectors.shape[0]
     if basis is None:
-        basis = TwoExcitationBasis(N)
-    psi = np.asarray(state, dtype=complex).reshape(-1)
-    Psi = basis.to_matrix(psi)
-    A = np.triu(Psi, 1)
-    A = A - A.T
-    Vc = np.conj(ferm.vectors)
-    W = Vc.T @ A @ Vc
-    norm2_pair = np.outer(ferm.norms2, ferm.norms2) - np.abs(ferm.gram) ** 2
-    psi2 = float(np.vdot(psi, psi).real)
-    num = np.abs(W) ** 2
-    iu = np.triu_indices(N, 1)
-    den = norm2_pair[iu] * psi2
-    ratio = np.where(den > 1e-300, num[iu] / np.maximum(den, 1e-300), 0.0)
-    best = int(np.argmax(ratio))
-    overlap = float(np.sqrt(min(max(ratio[best], 0.0), 1.0)))
-    return overlap, int(iu[0][best]), int(iu[1][best])
+        basis = TwoExcitationBasis(ferm.vectors.shape[0])
+    psi = np.asarray(state, dtype=complex).reshape(1, -1)
+    overlap, i, j = _fermionic_overlaps(psi, ferm, basis)
+    return float(overlap[0]), int(i[0]), int(j[0])
 
 
 @dataclass(frozen=True)
@@ -206,6 +228,11 @@ def _circular_distance(a, b):
     return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
 
 
+# bytes of one chunk's N x N pair matrices in classify_states; its other
+# temporaries are of the same size, a few MB in all
+_CHUNK_BYTES = 1 << 21
+
+
 def classify_state(pair, chain, ferm=None, basis=None, thresholds=None):
     """Label a two-excitation eigenpair DimerI / DimerII / Fermionic / Other.
 
@@ -215,50 +242,73 @@ def classify_state(pair, chain, ferm=None, basis=None, thresholds=None):
     pair overlap above threshold.  All metrics are modulus-based, so the
     label is invariant under a global phase or rescaling of the vector.
     """
+    return classify_states([pair], chain, ferm, basis, thresholds)[0]
+
+
+def classify_states(pairs, chain, ferm=None, basis=None, thresholds=None):
+    """classify_state of each eigenpair in a list, in list order.
+
+    The states go through in chunks: one gather of their separation rows
+    (the K-Delta frame of k_delta_decompose) and one FFT per chunk, and
+    batched conj(V)^T A_psi conj(V) products for the fermionic overlaps.
+    """
     if thresholds is None:
         thresholds = ClassifierThresholds()
     if ferm is None:
         ferm = fermionic_basis(chain)
+    N = chain.N
+    if basis is None:
+        basis = TwoExcitationBasis(N)
     gamma = chain.gamma1d
-    kd = chain.kd
-    lam = pair.lam
-    dec = k_delta_decompose(pair.vector, chain, basis=basis)
-    om_I = theory.asymptotic_dimer(kd, "I", gamma).omega
-    om_II = theory.asymptotic_dimer(kd, "II", gamma).omega
-    dist_I = abs(lam.real - om_I)
-    dist_II = abs(lam.real - om_II)
-    conc = dec.k_concentration(thresholds.concentration_bins)
-    overlap, fi, fj = fermionic_overlap(pair.vector, ferm, basis=basis)
-
-    label = OTHER
+    om_I = theory.asymptotic_dimer(chain.kd, "I", gamma).omega
+    om_II = theory.asymptotic_dimer(chain.kd, "II", gamma).omega
     window = thresholds.omega_window * gamma
-    if (
-        dist_I < window
-        and dec.dominant_delta == 1
-        and _circular_distance(dec.dominant_Kd, 0.0) <= thresholds.kd_window
-        and conc >= thresholds.concentration_min
-    ):
-        label = DIMER_I
-    elif (
-        dist_II < window
-        and dec.dominant_delta == 2
-        and _circular_distance(dec.dominant_Kd, np.pi) <= thresholds.kd_window
-        and conc >= thresholds.concentration_min
-    ):
-        label = DIMER_II
-    elif overlap > thresholds.overlap_min:
-        label = FERMIONIC
-    return StateClass(
-        label=label,
-        omega_distance_I=float(dist_I),
-        omega_distance_II=float(dist_II),
-        dominant_delta=dec.dominant_delta,
-        dominant_Kd=dec.dominant_Kd,
-        k_concentration=float(conc),
-        fermionic_overlap=overlap,
-        fermionic_pair=(fi, fj),
-        thresholds=thresholds,
-    )
+    bins = np.arange(-thresholds.concentration_bins,
+                     thresholds.concentration_bins + 1)
+    gather = _separation_index(N)
+    phase, scale = _frame_factors(N)
+    Kd = _kd_grid(N)
+    step = max(1, _CHUNK_BYTES // (16 * N * N))
+    classes = []
+    for start in range(0, len(pairs), step):
+        chunk = pairs[start:start + step]
+        P = np.zeros((len(chunk), basis.dim + 1), dtype=complex)
+        for r, p in enumerate(chunk):
+            P[r, :-1] = p.vector
+        padded = P[:, gather]
+        weights = np.abs(scale * phase * np.fft.fft(padded, axis=-1)) ** 2
+        k_marginal = weights.sum(axis=1)
+        peak = np.argmax(k_marginal, axis=1)
+        near = np.take_along_axis(k_marginal, (peak[:, None] + bins) % N, axis=1)
+        conc = near.sum(axis=1) / np.maximum(weights.sum(axis=(1, 2)), 1e-300)
+        delta = 1 + np.argmax(np.abs(padded) ** 2 @ np.ones(N), axis=1)
+        overlap, fi, fj = _fermionic_overlaps(P[:, :-1], ferm, basis)
+        for r, p in enumerate(chunk):
+            dist_I = abs(p.lam.real - om_I)
+            dist_II = abs(p.lam.real - om_II)
+            Kd_r = float(Kd[peak[r]])
+            dimer_k = conc[r] >= thresholds.concentration_min
+            label = OTHER
+            if (dist_I < window and delta[r] == 1 and dimer_k
+                    and _circular_distance(Kd_r, 0.0) <= thresholds.kd_window):
+                label = DIMER_I
+            elif (dist_II < window and delta[r] == 2 and dimer_k
+                    and _circular_distance(Kd_r, np.pi) <= thresholds.kd_window):
+                label = DIMER_II
+            elif overlap[r] > thresholds.overlap_min:
+                label = FERMIONIC
+            classes.append(StateClass(
+                label=label,
+                omega_distance_I=float(dist_I),
+                omega_distance_II=float(dist_II),
+                dominant_delta=int(delta[r]),
+                dominant_Kd=Kd_r,
+                k_concentration=float(conc[r]),
+                fermionic_overlap=float(overlap[r]),
+                fermionic_pair=(int(fi[r]), int(fj[r])),
+                thresholds=thresholds,
+            ))
+    return classes
 
 
 def fermionic_reference(chain, kernel=None):

@@ -4,6 +4,13 @@ Dense full decomposition (LAPACK zgeev) for small matrices, and a
 shift-invert Krylov-Schur Arnoldi engine that targets the dimer
 asymptotic eigenvalues of the hard-core two-excitation sector.
 
+A clean chain is invariant under the site reflection j -> N-1-j, and so
+is its pair sector under the pair mirror (m, n) -> (N-1-n, N-1-m).  The
+dense solver then diagonalizes an even and an odd block of about D/2
+each, a quarter of the zgeev work, and returns the eigenpairs of the
+full zgeev up to round-off, normalized by zgeev's rule, with residuals
+against the full matrix.
+
 The shifted pair-sector systems are solved exactly in O(N^2) memory:
 H2 is the off-diagonal block of the Kronecker sum L(X) = H1 X + X H1 on
 symmetric N x N matrices, so (H2 - sigma)^{-1} is a Schur complement of
@@ -109,8 +116,16 @@ def residual_norm(apply_H, pair):
     return float(np.linalg.norm(mv(pair.vector) - pair.lam * pair.vector))
 
 
-def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, meta=None):
-    """All eigenpairs of a dense matrix, with per-pair true residuals."""
+def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, meta=None, mirror=None):
+    """All eigenpairs of a dense matrix, with per-pair true residuals.
+
+    mirror is an involution img of the basis indices under which H is
+    exactly invariant, H[img][:, img] == H; for a clean chain's pair
+    sector it is TwoExcitationBasis.mirror().  H is then diagonalized as
+    an even and an odd block of about half the size (see
+    _mirror_sectors), which the metadata records as "mirror_sectors":
+    [n_even, n_odd].  A matrix that is not invariant raises ValueError.
+    """
     H = np.asarray(H)
     n = H.shape[0]
     if H.shape != (n, n):
@@ -118,17 +133,94 @@ def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, meta=None):
     if n > cap:
         raise ValueError(f"dimension {n} exceeds dense cap {cap}")
     t0 = time.perf_counter()
-    lam, vecs = sla.eig(H)
-    # zgeev returns unit vectors; residuals in one gemm
-    R = H @ vecs - vecs * lam[None, :]
+    md = {"solver_mode": "dense", "dim": n}
+    if mirror is None:
+        lam, vecs = sla.eig(H)
+    else:
+        lam, vecs, md["mirror_sectors"] = _mirror_sectors(H, mirror)
+    # unit vectors; residuals against the full H in one gemm, freed before
+    # the per-pair copies
+    R = H @ vecs
+    R -= vecs * lam[None, :]
     res = np.linalg.norm(R, axis=0)
+    del R
     pairs = [EigenPair(complex(l), vecs[:, i].copy(), float(res[i]))
              for i, l in enumerate(lam)]
-    md = {"solver_mode": "dense", "dim": n,
-          "wall_time": time.perf_counter() - t0}
+    md["wall_time"] = time.perf_counter() - t0
     if meta:
         md.update(meta)
     return Spectrum(pairs, md)
+
+
+# matrix elements compared per chunk of rows in the mirror check
+_CHECK_CHUNK = 1 << 17
+
+
+def _mirror_sectors(H, mirror):
+    """Eigenpairs of a mirror-invariant H from its even and odd blocks.
+
+    With a < img(a) one index of each swapped pair and f the fixed
+    indices, the orthogonal columns (e_a + e_img(a))/sqrt(2), e_f (even)
+    and (e_a - e_img(a))/sqrt(2) (odd) block-diagonalize H (Cantoni &
+    Butler, Linear Algebra Appl. 13:275, 1976); H[img][:, img] == H makes
+    both blocks index arithmetic on H.  Each block goes through zgeev, and
+    the scattered vectors get zgeev's normalization back: unit norm (an
+    orthogonal scatter keeps it), the first largest-modulus component
+    real and positive.  Returns
+    (eigenvalues, D x D vectors, [n_even, n_odd]).
+    """
+    n = H.shape[0]
+    img = np.asarray(mirror)
+    idx = np.arange(n)
+    if img.shape != (n,) or not np.array_equal(np.sort(img), idx) \
+            or not np.array_equal(img[img], idx):
+        raise ValueError("mirror must be an involution of the basis indices")
+    step = max(1, _CHECK_CHUNK // n)
+    for r in range(0, n, step):
+        if not np.array_equal(H[r:r + step], H[img[r:r + step]][:, img]):
+            raise ValueError("H is not invariant under the mirror")
+    a = idx[idx < img]
+    b = img[a]
+    f = idx[idx == img]
+    na, ne = len(a), len(a) + len(f)
+    root2 = np.sqrt(2.0)
+
+    # H[b, b'] = H[a, a'] and H[b, a'] = H[a, b'], so the even block is
+    # H[a, a'] + H[a, b'] and the odd block H[a, a'] - H[a, b'].  Each
+    # block is freed once used, which keeps this below the peak of the
+    # residual product that follows
+    odd = H[np.ix_(a, a)]
+    Hab = H[np.ix_(a, b)]
+    even = np.empty((ne, ne), dtype=complex)
+    np.add(odd, Hab, out=even[:na, :na])
+    even[:na, na:] = root2 * H[np.ix_(a, f)]
+    even[na:, :na] = root2 * H[np.ix_(f, a)]
+    even[na:, na:] = H[np.ix_(f, f)]
+    odd -= Hab
+    del Hab
+    lam_e, Ye = sla.eig(even)
+    del even
+    lam_o, Yo = sla.eig(odd)  # empty for N = 2
+    del odd
+    vecs = np.zeros((n, n), dtype=complex)
+    half = Ye[:na] / root2
+    vecs[a, :ne] = half
+    vecs[b, :ne] = half
+    vecs[f, :ne] = Ye[na:]
+    half = Yo / root2
+    vecs[a, ne:] = half
+    vecs[b, ne:] = -half
+    del Ye, Yo, half
+
+    # the block vectors are unit vectors and the scatter is orthogonal;
+    # zgeev's phase rule is taken again on the full vector, where a
+    # swapped pair ties in modulus and the first of the two wins, as in
+    # LAPACK's idamax
+    k = np.argmax(np.abs(vecs), axis=0)
+    top = vecs[k, idx]
+    vecs *= np.conj(top) / np.abs(top)
+    vecs[k, idx] = vecs[k, idx].real
+    return np.concatenate([lam_e, lam_o]), vecs, [ne, n - ne]
 
 
 def _make_shift_solver(H1, sigma):

@@ -12,8 +12,8 @@ Reruns with the same config and seed are byte-identical except for
 wall-time columns.  A task is one grid point, except in `scaling`,
 whose warm starts along N make a whole kd series one task.
 
-Full two-excitation spectra (`spectrum`) are dense zgeev up to N = 70;
-past that cap (allowed only with solver.fallback) they are the targeted
+Full two-excitation spectra (`spectrum`) are dense zgeev up to N = 70,
+one per mirror-parity sector of the clean chain; past that cap (allowed only with solver.fallback) they are the targeted
 partial spectrum around both dimer eigenvalues, flagged in metadata.
 Every other two-excitation search is targeted: Krylov-Schur on the
 exact structured shift-invert of eig._make_shift_solver, with O(N^2)
@@ -128,9 +128,8 @@ def find_dimer(chain, dimer_type, cfg, ferm=None, basis=None, v0=None,
     spec = None
     for count in (cfg.solver.count, 4 * cfg.solver.count):
         spec = _targeted_two_exc(op, solve, cfg, count=count, v0=v0)
-        classes = [analysis.classify_state(p, chain, ferm=ferm, basis=basis,
-                                           thresholds=thresholds)
-                   for p in spec.pairs]
+        classes = analysis.classify_states(spec.pairs, chain, ferm=ferm,
+                                           basis=basis, thresholds=thresholds)
         try:
             i = analysis.most_subradiant_index(
                 spec.pairs, classes, label=label, omega_target=th.omega)
@@ -196,8 +195,9 @@ def _spectrum_point(task, cfg):
     t0 = time.perf_counter()
     if not partial:
         H2 = build_two_hamiltonian(chain, basis=basis)
-        spec = eig.eig_dense_all(H2)
+        spec = eig.eig_dense_all(H2, mirror=basis.mirror())
         pairs = spec.pairs
+        sectors = spec.meta["mirror_sectors"]
         trace_gap = abs(np.sum(spec.eigenvalues) - np.trace(H2)) / max(
             abs(np.trace(H2)), 1e-300)
     else:
@@ -212,11 +212,10 @@ def _spectrum_point(task, cfg):
                 if key not in seen:
                     seen.add(key)
                     pairs.append(p)
-        trace_gap = None
+        trace_gap = sectors = None
     wall = time.perf_counter() - t0
     ferm = analysis.fermionic_basis(chain)
-    classes = [analysis.classify_state(p, chain, ferm=ferm, basis=basis)
-               for p in pairs]
+    classes = analysis.classify_states(pairs, chain, ferm=ferm, basis=basis)
     mode_used = "dense" if not partial else eig.SOLVER_MODE
     records = [make_record("spectrum", N, kd, "two-exc", c.label, p.lam,
                            mode_used, p.residual, wall, cfg.seed)
@@ -227,6 +226,7 @@ def _spectrum_point(task, cfg):
         "partial": partial,
         "trace_relative_gap": trace_gap,
         "states": len(pairs),
+        "mirror_sectors": sectors,
     }
     vectors = {}
     if cfg.dump_vectors:

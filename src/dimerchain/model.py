@@ -180,6 +180,15 @@ class TwoExcitationBasis:
     def unflatten(self, i):
         return int(self.pair_m[i]), int(self.pair_n[i])
 
+    def mirror(self):
+        """Flat index of the mirror image (N-1-n, N-1-m) of each pair (m, n).
+
+        The site reflection j -> N-1-j in the pair basis, an involution;
+        the pairs with m + n = N - 1 are its fixed points.
+        """
+        N = self.N
+        return self.flatten(N - 1 - self.pair_n, N - 1 - self.pair_m)
+
     def pair_index_matrix(self):
         # P[a,b] = flat index of pair {a,b}; diagonal left at -1
         P = np.full((self.N, self.N), -1, dtype=np.intp)

@@ -202,6 +202,56 @@ def test_real_spectrum_branches_n50():
     assert sum(counts.values()) == 1225
 
 
+def reference_metrics(pair, chain, ferm, basis):
+    """The classifier's metrics for one state: the K-Delta ones from
+    k_delta_decompose, the fermionic overlap written out per pair matrix."""
+    dec = analysis.k_delta_decompose(pair.vector, chain, basis=basis)
+    Psi = basis.to_matrix(pair.vector)
+    A = np.triu(Psi, 1) - np.triu(Psi, 1).T
+    V = ferm.vectors
+    W = np.conj(V).T @ A @ np.conj(V)
+    n2 = np.sum(np.abs(V) ** 2, axis=0)
+    wedge2 = np.outer(n2, n2) - np.abs(np.conj(V).T @ V) ** 2
+    iu = np.triu_indices(chain.N, 1)
+    ratio = np.abs(W[iu]) ** 2 / (wedge2[iu] * np.vdot(pair.vector, pair.vector).real)
+    best = int(np.argmax(ratio))
+    return (dec.dominant_delta, abs(dec.dominant_Kd),
+            dec.k_concentration(2), np.sqrt(min(ratio[best], 1.0)),
+            (int(iu[0][best]), int(iu[1][best])))
+
+
+def test_classify_states_matches_per_state():
+    # the batched classifier against classify_state and against the
+    # per-state metrics, on a pair count that is not a multiple of the
+    # chunk size, on one chunk plus a few pairs, and on a single pair
+    N = 40
+    chain = ChainGeometry.from_kd(N, 0.2 * np.pi)
+    basis = TwoExcitationBasis(N)
+    spec = eig_dense_all(build_two_hamiltonian(chain, basis=basis),
+                         mirror=basis.mirror())
+    ferm = analysis.fermionic_basis(chain)
+    step = analysis._CHUNK_BYTES // (16 * N * N)
+    assert 1 < step < len(spec) and len(spec) % step != 0
+    for pairs in (spec.pairs, spec.pairs[:step + 3], spec.pairs[:1]):
+        batch = analysis.classify_states(pairs, chain, ferm=ferm, basis=basis)
+        assert len(batch) == len(pairs)
+        for p, c in zip(pairs, batch):
+            one = analysis.classify_state(p, chain, ferm=ferm, basis=basis)
+            assert (c.label, c.dominant_delta, c.fermionic_pair) == (
+                one.label, one.dominant_delta, one.fermionic_pair)
+            for name in ("omega_distance_I", "omega_distance_II", "dominant_Kd",
+                         "k_concentration", "fermionic_overlap"):
+                assert getattr(c, name) == pytest.approx(getattr(one, name),
+                                                         abs=1e-12)
+            delta, kd, conc, overlap, fpair = reference_metrics(p, chain, ferm,
+                                                                basis)
+            assert c.dominant_delta == delta and c.fermionic_pair == fpair
+            # mirror-parity states tie in weight between +K and -K
+            assert abs(c.dominant_Kd) == pytest.approx(kd, abs=1e-12)
+            assert c.k_concentration == pytest.approx(conc, abs=1e-12)
+            assert c.fermionic_overlap == pytest.approx(overlap, abs=1e-12)
+
+
 def test_branch_summary_splits_by_constituents():
     vals = np.array([-0.05j, -0.1j, -0.5j, -1.0j])  # rates .1 .2 1 2
     th = analysis.ClassifierThresholds()

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from dimerchain import theory
 from dimerchain.eig import (
@@ -91,6 +92,46 @@ def test_dense_full_two_exc_spectrum_n50():
     assert abs(lam.sum() - np.trace(H2)) < 1e-9
     assert np.max(lam.imag) < 1e-10  # all states decay
     assert np.min(-2 * lam.imag) < 1e-3  # subradiant branch present
+
+
+@pytest.mark.parametrize("kd_over_pi", [0.1, 0.25, 0.45])
+@pytest.mark.parametrize("N", [2, 3, 12, 40])
+def test_dense_mirror_sectors(N, kd_over_pi):
+    # the even and odd blocks of the pair mirror give the full spectrum,
+    # with true residuals and zgeev's vector normalization
+    _, H2 = two_exc(N, kd_over_pi)
+    img = TwoExcitationBasis(N).mirror()
+    full = eig_dense_all(H2)
+    split = eig_dense_all(H2, mirror=img)
+    D = H2.shape[0]
+    n_even = (D + N // 2) // 2  # the N // 2 pairs m + n = N - 1 are even
+    assert split.meta["mirror_sectors"] == [n_even, D - n_even]
+    want, got = full.eigenvalues, split.eigenvalues
+    rows, cols = linear_sum_assignment(np.abs(want[:, None] - got[None, :]))
+    assert np.max(np.abs(want[rows] - got[cols])) <= 1e-12 * np.max(np.abs(want))
+    V = np.column_stack([p.vector for p in split.pairs])
+    R = H2 @ V - V * got[None, :]
+    assert np.max(np.linalg.norm(R, axis=0)) <= 1e-11
+    assert max(p.residual for p in split.pairs) <= 1e-11
+    parity = np.sum(np.conj(V[img]) * V, axis=0)
+    assert np.allclose(np.abs(parity), 1.0, atol=1e-12)
+    assert np.sum(parity.real > 0) == n_even
+    assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-13)
+    top = V[np.argmax(np.abs(V), axis=0), np.arange(D)]
+    assert np.all(top.imag == 0.0) and np.all(top.real > 0.0)
+
+
+def test_dense_mirror_rejects_asymmetric_input():
+    N = 12
+    img = TwoExcitationBasis(N).mirror()
+    offsets = disorder_offsets(3, 0, N, 0.1)
+    disordered = build_two_hamiltonian(
+        ChainGeometry.from_kd(N, 0.2 * np.pi, offsets=offsets))
+    with pytest.raises(ValueError):
+        eig_dense_all(disordered, mirror=img)
+    _, H2 = two_exc(N, 0.2)
+    with pytest.raises(ValueError):  # not an involution
+        eig_dense_all(H2, mirror=np.roll(np.arange(H2.shape[0]), 1))
 
 
 def test_dense_cap_enforced():

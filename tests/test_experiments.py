@@ -361,6 +361,9 @@ def test_cli_spectrum_end_to_end(tmp_path, capsys):
     assert meta["experiment"] == "spectrum"
     assert meta["n_records"] == 28
     assert meta["run_hash"] in base
+    # D = 28 splits into 16 mirror-even states (4 pairs are their own
+    # mirror image) and 12 mirror-odd ones
+    assert meta["summaries"]["N=8,kd_over_pi=0.25"]["mirror_sectors"] == [16, 12]
     vecs = json.loads(open(base + ".vectors.json", encoding="utf-8").read())
     for v in vecs["vectors"].values():
         assert all(len(z) == 2 for z in v)
@@ -522,6 +525,18 @@ def test_cli_phase_diagram_end_to_end(tmp_path, capsys):
     grid = read_csv(csv_path[:-4] + ".grid.csv")
     assert "rate_dimerII" in grid[0] and "rate_one_exc" in grid[0]
     assert len(grid) - 1 == 4  # 2 sizes x 2 wavenumbers
+
+
+def test_spectrum_partial_past_the_dense_cap(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"experiment": "spectrum", "N": [71],
+                                "kd_over_pi": [0.2], "out": str(tmp_path / "r"),
+                                "solver": {"fallback": True, "count": 2}})
+    assert run_cli(["spectrum", "--config", path]) == 0
+    base = capsys.readouterr().out.strip()[:-len(".csv")]
+    meta = json.loads(open(base + ".meta.json", encoding="utf-8").read())
+    summary = meta["summaries"]["N=71,kd_over_pi=0.2"]
+    assert summary["partial"] is True and summary["mirror_sectors"] is None
+    assert 2 <= summary["states"] <= 4
 
 
 def test_spectrum_needs_dense_or_fallback(tmp_path, capsys):
