@@ -23,6 +23,13 @@ D = N(N-1)/2.
 All Hamiltonians here are complex symmetric but non-normal; general
 Arnoldi is used for robustness, and convergence is always judged by the
 true residual ||H v - lambda v|| in the original (unshifted) problem.
+
+Every dense eigendecomposition goes through numpy.linalg.eig (zgeev in
+numpy's OpenBLAS, the library that serves every `@` here).  scipy
+carries its own OpenBLAS with its own thread pool, and on few cores the
+two pools compete whenever scipy's zgeev runs between numpy GEMMs.  scipy
+keeps only the N x N capacitance LU and the sorted Schur form of the
+small Krylov-Schur restart.
 """
 
 import time
@@ -135,7 +142,7 @@ def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, meta=None, mirror=None):
     t0 = time.perf_counter()
     md = {"solver_mode": "dense", "dim": n}
     if mirror is None:
-        lam, vecs = sla.eig(H)
+        lam, vecs = np.linalg.eig(H.astype(complex, copy=False))
     else:
         lam, vecs, md["mirror_sectors"] = _mirror_sectors(H, mirror)
     # unit vectors; residuals against the full H in one gemm, freed before
@@ -198,9 +205,9 @@ def _mirror_sectors(H, mirror):
     even[na:, na:] = H[np.ix_(f, f)]
     odd -= Hab
     del Hab
-    lam_e, Ye = sla.eig(even)
+    lam_e, Ye = np.linalg.eig(even)
     del even
-    lam_o, Yo = sla.eig(odd)  # empty for N = 2
+    lam_o, Yo = np.linalg.eig(odd.astype(complex, copy=False))  # empty for N = 2
     del odd
     vecs = np.zeros((n, n), dtype=complex)
     half = Ye[:na] / root2
@@ -236,7 +243,7 @@ def _make_shift_solver(H1, sigma):
     H1 = np.asarray(H1, dtype=complex)
     N = H1.shape[0]
     sigma = complex(sigma)
-    lam, V = sla.eig(H1)
+    lam, V = np.linalg.eig(H1)
     W = np.linalg.inv(V)
     # H1 = H1^T gives L(V Z V^T) = V [(lam_i + lam_j) Z_ij] V^T
     Dinv = 1.0 / (lam[:, None] + lam[None, :] - sigma)
@@ -326,13 +333,11 @@ def eig_target(apply_H, dim, config, solve, v0=None):
         order = np.argsort(-np.abs(theta), kind="stable")
         sel = order[: min(count, reached)]
         X = V[:, :reached] @ Y[:, sel]
-        X = X / np.linalg.norm(X, axis=0)[None, :]
+        X /= np.linalg.norm(X, axis=0)
         lam = sigma + 1.0 / theta[sel]
-        res = np.linalg.norm(
-            np.column_stack([mv(X[:, i]) for i in range(X.shape[1])])
-            - X * lam[None, :],
-            axis=0,
-        )
+        # one column at a time: no D x count temporaries
+        res = np.array([np.linalg.norm(mv(X[:, i]) - lam[i] * X[:, i])
+                        for i in range(X.shape[1])])
         best = (lam, X, res)
         if len(sel) >= count and np.all(res <= config.tol):
             pairs = [EigenPair(complex(lam[i]), X[:, i].copy(), float(res[i]))

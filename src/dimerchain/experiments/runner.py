@@ -21,10 +21,12 @@ memory and no cap on N.
 """
 import functools
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+import scipy
 
 from .. import analysis, eig, theory
 from ..model import (
@@ -68,7 +70,9 @@ def _sweep(cfg, point, tasks):
 def _finish(cfg, records, meta, plot, table=None, vectors=None):
     """Write a run's files, named <experiment>-<run hash>.*, and return
     their paths.  plot(svg_path) draws the figure; a run with nothing to
-    draw (the plotters raise ValueError) has no SVG."""
+    draw (the plotters raise ValueError) has no SVG.  The metadata also
+    records the environment: Python, numpy and scipy versions and the
+    CPU count, all fixed on one machine, so reruns stay byte-identical."""
     os.makedirs(cfg.out, exist_ok=True)
     base = os.path.join(cfg.out, f"{cfg.experiment}-{cfg.run_hash()}")
     paths = {"csv": base + ".csv", "table": base + ".grid.csv",
@@ -81,7 +85,10 @@ def _finish(cfg, records, meta, plot, table=None, vectors=None):
     write_records(paths["csv"], records)
     write_meta(paths["meta"], dict(
         meta, experiment=cfg.experiment, config=cfg.canonical_dict(),
-        run_hash=cfg.run_hash(), n_records=len(records)))
+        run_hash=cfg.run_hash(), n_records=len(records),
+        environment={"python": platform.python_version(),
+                     "numpy": np.__version__, "scipy": scipy.__version__,
+                     "cpu_count": os.cpu_count()}))
     if table:
         write_table(paths["table"], *table)
     if vectors:

@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
 from dimerchain import theory
@@ -24,6 +25,8 @@ from dimerchain.eig import (
     nearest_match,
     residual_norm,
 )
+from dimerchain.experiments import runner
+from dimerchain.experiments.config import RunConfig
 from dimerchain.experiments.runner import disorder_offsets
 from dimerchain.model import (
     ChainGeometry,
@@ -132,6 +135,38 @@ def test_dense_mirror_rejects_asymmetric_input():
     _, H2 = two_exc(N, 0.2)
     with pytest.raises(ValueError):  # not an involution
         eig_dense_all(H2, mirror=np.roll(np.arange(H2.shape[0]), 1))
+
+
+def test_dense_eigendecompositions_avoid_scipy_eig(monkeypatch):
+    # every dense eigendecomposition runs in numpy's LAPACK, whose BLAS
+    # threads are the ones every `@` uses; scipy's own copy would compete
+    reference = {N: sla.eig(two_exc(N, 0.2)[1])[0] for N in (2, 12)}
+
+    def no_scipy_eig(*args, **kwargs):
+        raise AssertionError("scipy.linalg.eig called")
+
+    monkeypatch.setattr(sla, "eig", no_scipy_eig)
+    for N, want in reference.items():
+        _, H2 = two_exc(N, 0.2)
+        # N = 2 has one pair, its own mirror image: the odd block is empty
+        for mirror in (None, TwoExcitationBasis(N).mirror()):
+            got = eig_dense_all(H2, mirror=mirror).eigenvalues
+            rows, cols = linear_sum_assignment(
+                np.abs(want[:, None] - got[None, :]))
+            assert len(rows) == len(want) == len(got)
+            assert np.max(np.abs(want[rows] - got[cols])) \
+                <= 1e-12 * np.max(np.abs(want))
+    check_inverts_the_pair_sector(ChainGeometry.from_kd(12, 0.2 * np.pi))
+    chain = ChainGeometry.from_kd(30, 0.1676 * np.pi)
+    cfg = RunConfig(experiment="scaling")
+    for dimer_type in ("I", "II"):
+        pair, cls, _ = runner.find_dimer(chain, dimer_type, cfg)
+        assert cls.label == f"Dimer{dimer_type}"
+        assert pair.residual <= cfg.solver.tol
+    records, _, _, (_, summary, _) = runner._spectrum_point(
+        (12, 0.2, 0.2 * np.pi), RunConfig(experiment="spectrum"))
+    assert len(records) == summary["states"] == 66
+    assert summary["mirror_sectors"] == [36, 30]
 
 
 def test_dense_cap_enforced():

@@ -361,6 +361,8 @@ def test_cli_spectrum_end_to_end(tmp_path, capsys):
     assert meta["experiment"] == "spectrum"
     assert meta["n_records"] == 28
     assert meta["run_hash"] in base
+    assert set(meta["environment"]) == {"python", "numpy", "scipy", "cpu_count"}
+    assert meta["environment"]["numpy"] == np.__version__
     # D = 28 splits into 16 mirror-even states (4 pairs are their own
     # mirror image) and 12 mirror-odd ones
     assert meta["summaries"]["N=8,kd_over_pi=0.25"]["mirror_sectors"] == [16, 12]
