@@ -24,19 +24,16 @@ All Hamiltonians here are complex symmetric but non-normal; general
 Arnoldi is used for robustness, and convergence is always judged by the
 true residual ||H v - lambda v|| in the original (unshifted) problem.
 
-Every dense eigendecomposition goes through numpy.linalg.eig (zgeev in
-numpy's OpenBLAS, the library that serves every `@` here).  scipy
-carries its own OpenBLAS with its own thread pool, and on few cores the
-two pools compete whenever scipy's zgeev runs between numpy GEMMs.  scipy
-keeps only the N x N capacitance LU and the sorted Schur form of the
-small Krylov-Schur restart.
+The module uses numpy only, so all BLAS and LAPACK work runs in numpy's
+OpenBLAS and its one thread pool: every `@`, every dense eigendecomposition
+(zgeev through numpy.linalg.eig), the inverse of the capacitance matrix,
+and the QR of the Ritz vectors at each Krylov-Schur restart.
 """
 
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 DENSE_CAP_DEFAULT = 6000
 
@@ -145,11 +142,15 @@ def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, meta=None, mirror=None):
         lam, vecs = np.linalg.eig(H.astype(complex, copy=False))
     else:
         lam, vecs, md["mirror_sectors"] = _mirror_sectors(H, mirror)
-    # unit vectors; residuals against the full H in one gemm, freed before
-    # the per-pair copies
-    R = H @ vecs
-    R -= vecs * lam[None, :]
-    res = np.linalg.norm(R, axis=0)
+    # unit vectors; residuals against the full H, a quarter of the columns
+    # per GEMM, so the temporaries stay at half the size of vecs
+    res = np.empty(n)
+    step = max(1, -(-n // 4))
+    for c in range(0, n, step):
+        s = slice(c, c + step)
+        R = H @ vecs[:, s]
+        R -= vecs[:, s] * lam[s]
+        res[s] = np.linalg.norm(R, axis=0)
     del R
     pairs = [EigenPair(complex(l), vecs[:, i].copy(), float(res[i]))
              for i, l in enumerate(lam)]
@@ -194,8 +195,7 @@ def _mirror_sectors(H, mirror):
 
     # H[b, b'] = H[a, a'] and H[b, a'] = H[a, b'], so the even block is
     # H[a, a'] + H[a, b'] and the odd block H[a, a'] - H[a, b'].  Each
-    # block is freed once used, which keeps this below the peak of the
-    # residual product that follows
+    # block is freed once used, to keep the peak memory down
     odd = H[np.ix_(a, a)]
     Hab = H[np.ix_(a, b)]
     even = np.empty((ne, ne), dtype=complex)
@@ -236,9 +236,10 @@ def _make_shift_solver(H1, sigma):
     H2 is the hard-core two-excitation sector of the complex symmetric
     one-excitation Hamiltonian H1, in the row-major pair order of
     numpy.triu_indices(N, 1).  Set-up is one eigendecomposition
-    H1 = V diag(lam) W, W = V^{-1}, and an N x N capacitance LU built from
-    N GEMMs; each apply is six N x N GEMMs and one N x N LU solve.  The
-    returned callable carries its shift as .sigma.
+    H1 = V diag(lam) W, W = V^{-1}, and the inverse of an N x N capacitance
+    matrix built from N GEMMs; each apply is six N x N GEMMs and one N x N
+    matrix-vector product.  The returned callable carries its shift as
+    .sigma.
     """
     H1 = np.asarray(H1, dtype=complex)
     N = H1.shape[0]
@@ -253,7 +254,7 @@ def _make_shift_solver(H1, sigma):
     G = np.zeros((N, N), dtype=complex)
     for i in range(N):
         G += np.outer(V[:, i], W[i]) * ((V * Dinv[i]) @ W)
-    lu = sla.lu_factor(G, check_finite=False)
+    Ginv = np.linalg.inv(G)
     iu = np.triu_indices(N, 1)
 
     def solve(x):
@@ -263,7 +264,7 @@ def _make_shift_solver(H1, sigma):
         # (L - sigma)^{-1} X = V Z V^T; then the Schur complement cancels
         # the diagonal it fills in, so the result solves the hard-core problem
         VZ = V @ ((W @ X @ W.T) * Dinv)
-        c = sla.lu_solve(lu, np.einsum("ai,ai->a", VZ, V), check_finite=False)
+        c = Ginv @ np.einsum("ai,ai->a", VZ, V)
         VZ -= V @ (((W * c) @ W.T) * Dinv)
         return (VZ @ V.T)[iu]
 
@@ -275,10 +276,12 @@ def _arnoldi_extend(T, V, S, k, m):
     """Extend a Krylov-Schur factorization T V_k ~ V_k S + spike to order m."""
     for j in range(k, m):
         w = T(V[:, j])
-        h = V[:, : j + 1].conj().T @ w
+        # classical Gram-Schmidt, V^H w taken as conj(w^H V) so that the
+        # basis is never copied
+        h = np.conj(np.conj(w) @ V[:, : j + 1])
         w = w - V[:, : j + 1] @ h
         # one reorthogonalization pass keeps the basis orthonormal
-        h2 = V[:, : j + 1].conj().T @ w
+        h2 = np.conj(np.conj(w) @ V[:, : j + 1])
         w = w - V[:, : j + 1] @ h2
         h = h + h2
         beta = np.linalg.norm(w)
@@ -357,30 +360,21 @@ def eig_target(apply_H, dim, config, solve, v0=None):
         if restart == config.max_restarts:
             break
 
-        # Krylov-Schur restart: reorder the Schur form, keep the dominant
-        # part plus the residual vector, and continue the recurrence
+        # Krylov-Schur restart (Stewart, SIAM J. Matrix Anal. Appl. 23:601,
+        # 2001) from the p dominant Ritz vectors: with Y_p = Z R, A Z =
+        # Z (R Theta_p R^{-1}), so the orthonormal Z spans the same invariant
+        # subspace and Z^H A Z is an upper triangular Schur factor with the
+        # dominant Ritz values on its diagonal (Morgan, Math. Comp. 65:1213,
+        # 1996).  Equal moduli at the split go to the stable argsort
         p = min(max(count + 2, (m + 1) // 2), m - 1)
-        athetas = np.sort(np.abs(theta))[::-1]
-        sdim = 0
-        for thr in (0.5 * (athetas[p - 1] + athetas[p]),
-                    athetas[p - 1] * (1.0 - 1e-12),
-                    athetas[max(p - 2, 0)] * (1.0 - 1e-12)):
-            Ts, Z, sdim = sla.schur(A, output="complex",
-                                    sort=lambda x: abs(x) > thr)
-            if 0 < int(sdim) < m:
-                break
-        if not 0 < int(sdim) < m:
-            raise RestartLimitExceeded(
-                "Schur reordering failed to split the spectrum",
-                best_residuals=res)
-        p = int(sdim)
+        Z, _ = np.linalg.qr(Y[:, order[:p]])
+        Ts = Z.conj().T @ A @ Z  # before S is cleared: A is a view of S
         b = S[m, :m] @ Z  # transformed spike row
-        Vp = V[:, :m] @ Z[:, :p]
-        V[:, :p] = Vp
+        V[:, :p] = V[:, :m] @ Z
         V[:, p] = V[:, m]
         S[:, :] = 0.0
-        S[:p, :p] = Ts[:p, :p]
-        S[p, :p] = b[:p]
+        S[:p, :p] = Ts
+        S[p, :p] = b
         k = p
 
     lam, X, res = best

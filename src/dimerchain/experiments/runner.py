@@ -26,7 +26,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-import scipy
 
 from .. import analysis, eig, theory
 from ..model import (
@@ -71,8 +70,8 @@ def _finish(cfg, records, meta, plot, table=None, vectors=None):
     """Write a run's files, named <experiment>-<run hash>.*, and return
     their paths.  plot(svg_path) draws the figure; a run with nothing to
     draw (the plotters raise ValueError) has no SVG.  The metadata also
-    records the environment: Python, numpy and scipy versions and the
-    CPU count, all fixed on one machine, so reruns stay byte-identical."""
+    records the environment: the Python and numpy versions and the CPU
+    count, all fixed on one machine, so reruns stay byte-identical."""
     os.makedirs(cfg.out, exist_ok=True)
     base = os.path.join(cfg.out, f"{cfg.experiment}-{cfg.run_hash()}")
     paths = {"csv": base + ".csv", "table": base + ".grid.csv",
@@ -87,8 +86,7 @@ def _finish(cfg, records, meta, plot, table=None, vectors=None):
         meta, experiment=cfg.experiment, config=cfg.canonical_dict(),
         run_hash=cfg.run_hash(), n_records=len(records),
         environment={"python": platform.python_version(),
-                     "numpy": np.__version__, "scipy": scipy.__version__,
-                     "cpu_count": os.cpu_count()}))
+                     "numpy": np.__version__, "cpu_count": os.cpu_count()}))
     if table:
         write_table(paths["table"], *table)
     if vectors:

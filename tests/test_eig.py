@@ -6,6 +6,9 @@ where both are cheap; determinism and shift invariance are contract
 tests for the experiment runner.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -19,6 +22,7 @@ from dimerchain.eig import (
     RestartLimitExceeded,
     SolverConfig,
     Spectrum,
+    _arnoldi_extend,
     _make_shift_solver,
     eig_dense_all,
     eig_target,
@@ -169,6 +173,27 @@ def test_dense_eigendecompositions_avoid_scipy_eig(monkeypatch):
     assert summary["mirror_sectors"] == [36, 30]
 
 
+def test_program_runs_without_scipy():
+    # scipy is a test dependency only: the runner and a targeted solve must
+    # not import it, in a fresh interpreter that has not seen the tests
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from dimerchain.experiments import runner\n"
+        "from dimerchain.experiments.config import RunConfig\n"
+        "from dimerchain.model import ChainGeometry\n"
+        "chain = ChainGeometry.from_kd(20, 0.1676 * np.pi)\n"
+        "pair, _, _ = runner.find_dimer(chain, 'I', RunConfig(experiment='scaling'))\n"
+        "assert pair is not None\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.normpath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_dense_cap_enforced():
     with pytest.raises(ValueError):
         eig_dense_all(np.eye(11, dtype=complex), cap=10)
@@ -290,6 +315,57 @@ def test_shift_solver_residual_at_n300():
         r = op.matvec(y) - sigma * y - x
         assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(y)
         assert peak < 64e6
+
+
+@pytest.mark.parametrize("kd_over_pi", [0.24, 0.25, 0.26, 0.45])
+def test_target_many_restarts_match_dense(kd_over_pi):
+    # a subspace of 10 for 4 pairs forces Krylov-Schur restarts at both
+    # dimer shifts, near the EPR point pi/4 and close to pi/2
+    chain, H2 = two_exc(40, kd_over_pi)
+    full = eig_dense_all(H2, mirror=TwoExcitationBasis(40).mirror())
+    cfg = SolverConfig(count=4, max_subspace=10)
+    for dimer_type in ("I", "II"):
+        sigma = theory.asymptotic_dimer(chain.kd, dimer_type).omega
+        spec = targeted(chain, sigma, cfg)
+        assert spec.meta["restarts"] > 0
+        for w in nearest_dense(full, sigma, 4):
+            assert np.min(np.abs(spec.eigenvalues - w)) <= cfg.tol
+        assert all(p.residual <= cfg.tol for p in spec.pairs)
+
+
+@pytest.mark.parametrize("count,m", [(3, 9), (4, 13)])
+def test_target_restart_split_at_tied_ritz_moduli(count, m):
+    # H = diag(sigma + d) with d in +-pairs 1, 1.05j, 1.1, ...: a start
+    # vector even under the pair swap keeps the Krylov space invariant
+    # under it, so the Ritz values of (H - sigma)^{-1} come in +-pairs of
+    # equal modulus, and the restart keeps p of them, splitting a pair
+    n = 40
+    mod = 1.0 + 0.05 * np.arange(n)
+    d = np.empty(2 * n, dtype=complex)
+    d[0::2] = mod * 1j ** np.arange(n)
+    d[1::2] = -d[0::2]
+    sigma = 0.3 - 0.2j
+
+    def solve(x):
+        return x / d
+
+    solve.sigma = sigma
+    v0 = np.ones(2 * n, dtype=complex)
+    V = np.zeros((2 * n, m + 1), dtype=complex)
+    S = np.zeros((m + 1, m), dtype=complex)
+    V[:, 0] = v0 / np.linalg.norm(v0)
+    assert _arnoldi_extend(solve, V, S, 0, m) == m
+    moduli = np.sort(np.abs(np.linalg.eigvals(S[:m, :m])))[::-1]
+    p = min(max(count + 2, (m + 1) // 2), m - 1)
+    assert abs(moduli[p - 1] - moduli[p]) <= 1e-14 * moduli[p]
+
+    cfg = SolverConfig(count=count, max_subspace=m)
+    spec = eig_target(np.diag(sigma + d), 2 * n, cfg, solve, v0=v0)
+    assert spec.meta["restarts"] > 0
+    dist = np.sort(np.abs(spec.eigenvalues - sigma))
+    assert np.allclose(dist, np.sort(np.abs(d))[:count], rtol=0, atol=cfg.tol)
+    for lam in spec.eigenvalues:
+        assert np.min(np.abs(sigma + d - lam)) <= cfg.tol
 
 
 def test_target_shift_invariance():

@@ -361,7 +361,7 @@ def test_cli_spectrum_end_to_end(tmp_path, capsys):
     assert meta["experiment"] == "spectrum"
     assert meta["n_records"] == 28
     assert meta["run_hash"] in base
-    assert set(meta["environment"]) == {"python", "numpy", "scipy", "cpu_count"}
+    assert set(meta["environment"]) == {"python", "numpy", "cpu_count"}
     assert meta["environment"]["numpy"] == np.__version__
     # D = 28 splits into 16 mirror-even states (4 pairs are their own
     # mirror image) and 12 mirror-odd ones
