@@ -20,7 +20,6 @@ from .analysis import (
     decay_rate,
     fermionic_basis,
     fermionic_overlap,
-    fermionic_reference,
     fit_exponential_tail,
     fit_power_law,
     k_delta_decompose,

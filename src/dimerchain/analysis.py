@@ -148,20 +148,29 @@ def k_delta_decompose(state, chain, basis=None):
 
 @dataclass(frozen=True)
 class FermionicBasis:
-    """One-excitation eigendecomposition cached for overlap tests."""
+    """A chain's H1 = V diag(values) W, the one core that its shift solvers,
+    fermionic overlaps, one-excitation minimum and baseline all read."""
 
     values: np.ndarray
-    vectors: np.ndarray  # columns, unit norm
+    vectors: np.ndarray  # V, columns, unit norm
+    inverse: np.ndarray  # W = V^{-1}
     pair_norms2: np.ndarray  # ||a_ij||^2 per pair i < j, row-major order
+
+    @property
+    def baseline(self):
+        """Sum of the two smallest one-excitation decay rates."""
+        return float(np.sum(np.sort(decay_rate(self.values))[:2]))
 
 
 def fermionic_basis(chain, kernel=None):
+    """The FermionicBasis of a chain: one zgeev of H1 and one inverse."""
     H1 = build_single_hamiltonian(chain, kernel)
     values, vectors = np.linalg.eig(H1)
     norms2 = np.einsum("ij,ij->j", np.conj(vectors), vectors).real
     gram = np.conj(vectors.T) @ vectors
     pair_norms2 = np.outer(norms2, norms2) - np.abs(gram) ** 2
     return FermionicBasis(values=values, vectors=vectors,
+                          inverse=np.linalg.inv(vectors),
                           pair_norms2=pair_norms2[np.triu_indices(len(values), 1)])
 
 
@@ -309,13 +318,6 @@ def classify_states(pairs, chain, ferm=None, basis=None, thresholds=None):
                 thresholds=thresholds,
             ))
     return classes
-
-
-def fermionic_reference(chain, kernel=None):
-    """Sum of the two smallest one-excitation decay rates (baseline curve)."""
-    H1 = build_single_hamiltonian(chain, kernel)
-    rates = decay_rate(np.linalg.eigvals(H1))
-    return float(np.sum(np.sort(rates)[:2]))
 
 
 def band_edge_re(kd, gamma=1.0):

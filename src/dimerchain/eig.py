@@ -18,7 +18,8 @@ symmetric N x N matrices, so (H2 - sigma)^{-1} is a Schur complement of
 elementwise division between GEMMs (the diagonal case of Bartels &
 Stewart, CACM 15:820, 1972), and the complement is an N x N capacitance
 correction (Hager, SIAM Rev. 31:221, 1989).  No D x D array is formed,
-D = N(N-1)/2.
+D = N(N-1)/2.  H1's eigendecomposition is the chain's
+analysis.FermionicBasis, computed once per chain for every shift.
 
 All Hamiltonians here are complex symmetric but non-normal; general
 Arnoldi is used for robustness, and convergence is always judged by the
@@ -120,7 +121,7 @@ def residual_norm(apply_H, pair):
     return float(np.linalg.norm(mv(pair.vector) - pair.lam * pair.vector))
 
 
-def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, meta=None, mirror=None):
+def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, mirror=None):
     """All eigenpairs of a dense matrix, with per-pair true residuals.
 
     mirror is an involution img of the basis indices under which H is
@@ -155,8 +156,6 @@ def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, meta=None, mirror=None):
     pairs = [EigenPair(complex(l), vecs[:, i].copy(), float(res[i]))
              for i, l in enumerate(lam)]
     md["wall_time"] = time.perf_counter() - t0
-    if meta:
-        md.update(meta)
     return Spectrum(pairs, md)
 
 
@@ -230,22 +229,20 @@ def _mirror_sectors(H, mirror):
     return np.concatenate([lam_e, lam_o]), vecs, [ne, n - ne]
 
 
-def _make_shift_solver(H1, sigma):
+def _make_shift_solver(ferm, sigma):
     """x -> (H2 - sigma)^{-1} x on pair amplitudes, exact.
 
-    H2 is the hard-core two-excitation sector of the complex symmetric
+    H2 is the hard-core two-excitation sector of a complex symmetric
     one-excitation Hamiltonian H1, in the row-major pair order of
-    numpy.triu_indices(N, 1).  Set-up is one eigendecomposition
-    H1 = V diag(lam) W, W = V^{-1}, and the inverse of an N x N capacitance
-    matrix built from N GEMMs; each apply is six N x N GEMMs and one N x N
-    matrix-vector product.  The returned callable carries its shift as
-    .sigma.
+    numpy.triu_indices(N, 1).  ferm is the chain's analysis.FermionicBasis,
+    whose values, vectors and inverse give H1 = V diag(lam) W, W = V^{-1}.
+    Set-up is the inverse of an N x N capacitance matrix built from N
+    GEMMs; each apply is six N x N GEMMs and one N x N matrix-vector
+    product.  The returned callable carries its shift as .sigma.
     """
-    H1 = np.asarray(H1, dtype=complex)
-    N = H1.shape[0]
+    lam, V, W = ferm.values, ferm.vectors, ferm.inverse
+    N = lam.shape[0]
     sigma = complex(sigma)
-    lam, V = np.linalg.eig(H1)
-    W = np.linalg.inv(V)
     # H1 = H1^T gives L(V Z V^T) = V [(lam_i + lam_j) Z_ij] V^T
     Dinv = 1.0 / (lam[:, None] + lam[None, :] - sigma)
 
@@ -342,21 +339,16 @@ def eig_target(apply_H, dim, config, solve, v0=None):
         res = np.array([np.linalg.norm(mv(X[:, i]) - lam[i] * X[:, i])
                         for i in range(X.shape[1])])
         best = (lam, X, res)
-        if len(sel) >= count and np.all(res <= config.tol):
+        converged = len(sel) >= count and np.all(res <= config.tol)
+        if converged or reached < m:  # reached < m: an invariant subspace
             pairs = [EigenPair(complex(lam[i]), X[:, i].copy(), float(res[i]))
                      for i in range(len(sel))]
-            return Spectrum(pairs, {
-                "solver_mode": SOLVER_MODE, "dim": dim, "target": sigma,
-                "restarts": restart, "op_solves": n_solves,
-                "wall_time": time.perf_counter() - t0,
-            })
-        if reached < m:  # invariant subspace smaller than requested count
-            pairs = [EigenPair(complex(lam[i]), X[:, i].copy(), float(res[i]))
-                     for i in range(len(sel))]
-            return Spectrum(pairs, {"solver_mode": SOLVER_MODE, "dim": dim,
-                                    "target": sigma, "restarts": restart,
-                                    "op_solves": n_solves, "invariant": True,
-                                    "wall_time": time.perf_counter() - t0})
+            meta = {"solver_mode": SOLVER_MODE, "dim": dim, "target": sigma,
+                    "restarts": restart, "op_solves": n_solves,
+                    "wall_time": time.perf_counter() - t0}
+            if not converged:
+                meta["invariant"] = True
+            return Spectrum(pairs, meta)
         if restart == config.max_restarts:
             break
 

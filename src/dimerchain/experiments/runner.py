@@ -13,11 +13,13 @@ wall-time columns.  A task is one grid point, except in `scaling`,
 whose warm starts along N make a whole kd series one task.
 
 Full two-excitation spectra (`spectrum`) are dense zgeev up to N = 70,
-one per mirror-parity sector of the clean chain; past that cap (allowed only with solver.fallback) they are the targeted
-partial spectrum around both dimer eigenvalues, flagged in metadata.
-Every other two-excitation search is targeted: Krylov-Schur on the
-exact structured shift-invert of eig._make_shift_solver, with O(N^2)
-memory and no cap on N.
+one per mirror-parity sector of the clean chain.  Past that cap, which
+only solver.fallback allows, they are the targeted partial spectrum
+around both dimer eigenvalues, flagged in metadata.  Every other
+two-excitation search is targeted: Krylov-Schur on the exact structured
+shift-invert of eig._make_shift_solver, with O(N^2) memory and no cap
+on N.  Each chain's H1 is diagonalized once, by analysis.fermionic_basis,
+and every one-excitation quantity of the chain reads that core.
 """
 import functools
 import os
@@ -129,7 +131,7 @@ def find_dimer(chain, dimer_type, cfg, ferm=None, basis=None, v0=None,
     if basis is None:
         basis = TwoExcitationBasis(chain.N)
     op = TwoExcitationWaveguideOp(chain, basis)
-    solve = eig._make_shift_solver(build_single_hamiltonian(chain), th.omega)
+    solve = eig._make_shift_solver(ferm, th.omega)
     spec = None
     for count in (cfg.solver.count, 4 * cfg.solver.count):
         spec = _targeted_two_exc(op, solve, cfg, count=count, v0=v0)
@@ -144,13 +146,17 @@ def find_dimer(chain, dimer_type, cfg, ferm=None, basis=None, v0=None,
     return None, None, spec
 
 
-def _one_exc(chain, cfg):
-    """Most subradiant one-excitation eigenpair (dense) and its record."""
-    spec = eig.eig_dense_all(build_single_hamiltonian(chain))
-    one = spec.pairs[0]
+def _one_exc(chain, ferm, cfg):
+    """Most subradiant one-excitation eigenpair of the chain's core ferm,
+    picked by the order eig.Spectrum sorts in, and its record."""
+    t0 = time.perf_counter()
+    lam = ferm.values
+    i = min(range(len(lam)), key=lambda j: (-lam[j].imag, lam[j].real))
+    one = eig.EigenPair(complex(lam[i]), ferm.vectors[:, i], 0.0)
+    one.residual = eig.residual_norm(build_single_hamiltonian(chain), one)
     return one, [make_record(
         cfg.experiment, chain.N, chain.kd, "one-exc", "one-exc", one.lam,
-        "dense", one.residual, spec.meta["wall_time"], cfg.seed)]
+        "dense", one.residual, time.perf_counter() - t0, cfg.seed)]
 
 
 def _dimer(chain, dimer_type, cfg, sample=-1, **kwargs):
@@ -197,6 +203,7 @@ def _spectrum_point(task, cfg):
     # with solver.fallback) the run degrades to a targeted partial
     # spectrum around both dimer branches (flagged in metadata)
     partial = N > DENSE_TWOEXC_CAP
+    ferm = analysis.fermionic_basis(chain)
     t0 = time.perf_counter()
     if not partial:
         H2 = build_two_hamiltonian(chain, basis=basis)
@@ -207,11 +214,10 @@ def _spectrum_point(task, cfg):
             abs(np.trace(H2)), 1e-300)
     else:
         op = TwoExcitationWaveguideOp(chain, basis)
-        H1 = build_single_hamiltonian(chain)
         seen, pairs = set(), []
         for t in ("I", "II"):
             om = theory.asymptotic_dimer(kd, t, cfg.gamma).omega
-            sp = _targeted_two_exc(op, eig._make_shift_solver(H1, om), cfg)
+            sp = _targeted_two_exc(op, eig._make_shift_solver(ferm, om), cfg)
             for p in sp.pairs:
                 key = (round(p.lam.real, 9), round(p.lam.imag, 9))
                 if key not in seen:
@@ -219,7 +225,6 @@ def _spectrum_point(task, cfg):
                     pairs.append(p)
         trace_gap = sectors = None
     wall = time.perf_counter() - t0
-    ferm = analysis.fermionic_basis(chain)
     classes = analysis.classify_states(pairs, chain, ferm=ferm, basis=basis)
     mode_used = "dense" if not partial else eig.SOLVER_MODE
     records = [make_record("spectrum", N, kd, "two-exc", c.label, p.lam,
@@ -274,13 +279,13 @@ def cmd_spectrum(cfg):
 def _phase_point(task, cfg):
     N, kd_over_pi, kd = task
     chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-    one, records = _one_exc(chain, cfg)
-    baseline = analysis.fermionic_reference(chain)
-    pair, found = _dimer(chain, "II", cfg)
+    ferm = analysis.fermionic_basis(chain)
+    one, records = _one_exc(chain, ferm, cfg)
+    pair, found = _dimer(chain, "II", cfg, ferm=ferm)
     rII = pair.decay_rate if pair is not None else ""
-    row = [N, kd_over_pi, rII, one.decay_rate, baseline,
+    row = [N, kd_over_pi, rII, one.decay_rate, ferm.baseline,
            bool(rII != "" and rII < one.decay_rate),
-           bool(rII != "" and rII < baseline)]
+           bool(rII != "" and rII < ferm.baseline)]
     return records + found, [row], {}, None
 
 
@@ -321,7 +326,7 @@ def _scaling_series(task, cfg):
         chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
         basis = TwoExcitationBasis(N)
         ferm = analysis.fermionic_basis(chain)
-        one, rec = _one_exc(chain, cfg)
+        one, rec = _one_exc(chain, ferm, cfg)
         records += rec
         series.setdefault((kd_over_pi, "one-exc"), []).append(
             (N, one.decay_rate))

@@ -117,7 +117,7 @@ def test_fermionic_overlap_scale_invariant():
 def test_fermionic_reference_n2():
     # the two one-excitation rates exhaust the trace: their sum is 2 gamma
     chain = ChainGeometry.from_kd(2, 0.2 * np.pi)
-    assert analysis.fermionic_reference(chain) == pytest.approx(2.0)
+    assert analysis.fermionic_basis(chain).baseline == pytest.approx(2.0)
 
 
 # ----------------------------------------------------- classification

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from dimerchain import theory
+from dimerchain import analysis, theory
 from dimerchain.eig import (
     EigenPair,
     RestartLimitExceeded,
@@ -30,7 +30,7 @@ from dimerchain.eig import (
     residual_norm,
 )
 from dimerchain.experiments import runner
-from dimerchain.experiments.config import RunConfig
+from dimerchain.experiments.config import RunConfig, parse_config
 from dimerchain.experiments.runner import disorder_offsets
 from dimerchain.model import (
     ChainGeometry,
@@ -49,7 +49,7 @@ def two_exc(N, kd_pi):
 def targeted(chain, sigma, cfg, v0=None):
     """Structured shift-invert solve of the chain's two-excitation sector."""
     op = TwoExcitationWaveguideOp(chain)
-    solve = _make_shift_solver(build_single_hamiltonian(chain), sigma)
+    solve = _make_shift_solver(analysis.fermionic_basis(chain), sigma)
     return eig_target(op, op.dim, cfg, solve, v0=v0)
 
 
@@ -173,6 +173,44 @@ def test_dense_eigendecompositions_avoid_scipy_eig(monkeypatch):
     assert summary["mirror_sectors"] == [36, 30]
 
 
+def test_one_h1_eigendecomposition_per_chain(monkeypatch):
+    # a chain's shift solvers, classifier, one-excitation minimum and
+    # fermionic baseline all read one analysis.fermionic_basis: every point
+    # function diagonalizes each chain's N x N H1 exactly once.  The Ritz
+    # matrices of the targeted solves are 24 x 24 or 96 x 96 here
+    shapes = []
+    for name in ("eig", "eigvals"):
+        def counted(a, *args, _f=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def h1_calls(run, *Ns):
+        shapes.clear()
+        run()
+        return [shapes.count((N, N)) for N in Ns]
+
+    kd = 0.1676 * np.pi
+    cfg = parse_config({"experiment": "scaling", "N": [30, 34],
+                        "kd_over_pi": [0.1676]})
+    assert h1_calls(lambda: runner._scaling_series((0.1676, kd), cfg),
+                    30, 34) == [1, 1]
+    cfg = parse_config({"experiment": "phase-diagram", "N": [40],
+                        "kd_over_pi": [0.2]})
+    assert h1_calls(lambda: runner._phase_point((40, 0.2, 0.2 * np.pi), cfg),
+                    40) == [1]
+    cfg = parse_config({"experiment": "disorder", "N": [36], "seed": 3,
+                        "kd_over_pi": [0.1676],
+                        "disorder": {"delta": 0.01, "samples": 1}})
+    for sample in (-1, 0):
+        assert h1_calls(lambda: runner._disorder_point(
+            (36, 0.1676, kd, sample), cfg), 36) == [1]
+    cfg = parse_config({"experiment": "spectrum", "N": [72],
+                        "kd_over_pi": [0.2], "solver": {"fallback": True}})
+    assert h1_calls(lambda: runner._spectrum_point((72, 0.2, 0.2 * np.pi), cfg),
+                    72) == [1]
+
+
 def test_program_runs_without_scipy():
     # scipy is a test dependency only: the runner and a targeted solve must
     # not import it, in a fresh interpreter that has not seen the tests
@@ -211,17 +249,17 @@ def test_target_dim_one():
     assert len(spec) == 1 and spec[0].lam == pytest.approx(-1j, abs=1e-15)
 
 
-@pytest.mark.parametrize("mode", ["si-direct", "si-matfree"])
-def test_target_matches_dense(mode):
+@pytest.mark.parametrize("residuals", ["dense-H2", "fast-matvec"])
+def test_target_matches_dense(residuals):
     # N = 48 at the shallow-dip wavenumber; target the type-I dimer line.
     # The structured shift solver is the same in both cases; the residuals
-    # are taken with the dense H2 ("si-direct") or the matrix-free operator
+    # are taken with the dense H2 or the fast matvec
     kd = 0.1676 * np.pi
     chain, H2 = two_exc(48, 0.1676)
     sigma = 2.0 / np.tan(kd)
     cfg = SolverConfig(count=6)
-    solve = _make_shift_solver(build_single_hamiltonian(chain), sigma)
-    if mode == "si-matfree":
+    solve = _make_shift_solver(analysis.fermionic_basis(chain), sigma)
+    if residuals == "fast-matvec":
         op = TwoExcitationWaveguideOp(chain)
         spec = eig_target(op, op.dim, cfg, solve)
     else:
@@ -272,7 +310,7 @@ def test_target_matches_dense_disordered():
 def check_inverts_the_pair_sector(chain):
     H2 = build_two_hamiltonian(chain)
     sigma = 0.3 - 0.01j
-    solve = _make_shift_solver(build_single_hamiltonian(chain), sigma)
+    solve = _make_shift_solver(analysis.fermionic_basis(chain), sigma)
     rng = np.random.default_rng(2)
     x = rng.standard_normal(H2.shape[0]) + 1j * rng.standard_normal(H2.shape[0])
     want = np.linalg.solve(H2 - sigma * np.eye(H2.shape[0]), x)
@@ -301,14 +339,14 @@ def test_shift_solver_residual_at_n300():
     kd = 0.1676 * np.pi
     chain = ChainGeometry.from_kd(300, kd)
     op = TwoExcitationWaveguideOp(chain)
-    H1 = build_single_hamiltonian(chain)
+    ferm = analysis.fermionic_basis(chain)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
     for dimer_type in ("I", "II"):
         sigma = theory.asymptotic_dimer(kd, dimer_type).omega
         tracemalloc.start()
         try:
-            y = _make_shift_solver(H1, sigma)(x)
+            y = _make_shift_solver(ferm, sigma)(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -411,6 +449,27 @@ def test_target_restart_limit():
     cfg = SolverConfig(count=6, tol=1e-14, max_restarts=0, max_subspace=7)
     with pytest.raises(RestartLimitExceeded):
         targeted(chain, 0.0, cfg)
+
+
+def test_target_invariant_subspace_exit():
+    # a start vector on three eigenvectors closes the Krylov space after
+    # three steps: asked for four pairs, the solver returns those three,
+    # flagged "invariant"; asked for two, it converges without the flag
+    d = np.arange(1.0, 21.0) - 0.1j
+
+    def solve(x):
+        return x / d
+
+    solve.sigma = 0.0
+    v0 = np.zeros(20, dtype=complex)
+    v0[[0, 4, 9]] = 1.0
+    closed = eig_target(np.diag(d), 20, SolverConfig(count=4), solve, v0=v0)
+    assert closed.meta["invariant"] is True
+    assert np.sort(closed.eigenvalues.real) == pytest.approx([1.0, 5.0, 10.0])
+    assert all(p.residual <= 1e-10 for p in closed.pairs)
+    converged = eig_target(np.diag(d), 20, SolverConfig(count=2), solve, v0=v0)
+    assert set(closed.meta) == set(converged.meta) | {"invariant"}
+    assert np.sort(converged.eigenvalues.real) == pytest.approx([1.0, 5.0])
 
 
 def test_solver_config_validation():
