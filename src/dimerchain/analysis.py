@@ -23,6 +23,7 @@ at once via W = conj(V)^T A_psi conj(V) with A_psi the antisymmetric
 pair matrix.  classify_states labels a whole spectrum in chunks of
 states: one precomputed gather of the separation rows, one FFT and one
 batch of W products per chunk; classify_state is its one-state case.
+States are pair amplitudes in the order of model.TwoExcitationBasis(N).
 """
 
 from dataclasses import dataclass, field
@@ -86,14 +87,14 @@ class KDeltaDecomposition:
 def _separation_index(N):
     """(N-1) x N gather index of the separation rows.
 
-    Entry [Delta - 1, m] is the flat index of the pair (m, m + Delta) in
-    row-major pair order; the slots m >= N - Delta point one past the last
-    pair, where callers keep a zero.
+    Entry [Delta - 1, m] is the flat index of the pair (m, m + Delta); the
+    slots m >= N - Delta point one past the last pair, where callers keep
+    a zero.
     """
-    delta = np.arange(1, N)[:, None]
-    m = np.arange(N)
-    flat = m * N - m * (m + 1) // 2 + delta - 1
-    return np.where(m < N - delta, flat, N * (N - 1) // 2)
+    basis = TwoExcitationBasis(N)
+    index = np.full((N - 1, N), basis.dim)
+    index[basis.pair_n - basis.pair_m - 1, basis.pair_m] = np.arange(basis.dim)
+    return index
 
 
 def _frame_factors(N):
@@ -110,7 +111,7 @@ def _kd_grid(N):
     return np.where(Kd > np.pi, Kd - 2.0 * np.pi, Kd)
 
 
-def k_delta_decompose(state, chain, basis=None):
+def k_delta_decompose(state, chain):
     """Least-squares K-Delta decomposition of a two-excitation state.
 
     Distances use the nominal lattice labels (disordered chains are
@@ -120,8 +121,7 @@ def k_delta_decompose(state, chain, basis=None):
     occur for N >= 2.
     """
     N = chain.N
-    if basis is None:
-        basis = TwoExcitationBasis(N)
+    basis = TwoExcitationBasis(N)
     psi = np.asarray(state, dtype=complex).reshape(-1)
     if psi.shape[0] != basis.dim:
         raise ValueError("state length does not match the two-excitation basis")
@@ -154,7 +154,7 @@ class FermionicBasis:
     values: np.ndarray
     vectors: np.ndarray  # V, columns, unit norm
     inverse: np.ndarray  # W = V^{-1}
-    pair_norms2: np.ndarray  # ||a_ij||^2 per pair i < j, row-major order
+    pair_norms2: np.ndarray  # ||a_ij||^2 per pair i < j, in pair order
 
     @property
     def baseline(self):
@@ -169,14 +169,16 @@ def fermionic_basis(chain, kernel=None):
     norms2 = np.einsum("ij,ij->j", np.conj(vectors), vectors).real
     gram = np.conj(vectors.T) @ vectors
     pair_norms2 = np.outer(norms2, norms2) - np.abs(gram) ** 2
+    pairs = TwoExcitationBasis(len(values))
     return FermionicBasis(values=values, vectors=vectors,
                           inverse=np.linalg.inv(vectors),
-                          pair_norms2=pair_norms2[np.triu_indices(len(values), 1)])
+                          pair_norms2=pairs.from_matrix(pair_norms2))
 
 
-def _fermionic_overlaps(P, ferm, basis):
+def _fermionic_overlaps(P, ferm):
     """fermionic_overlap of each row of P; returns arrays (overlap, i, j)."""
-    N = basis.N
+    N = ferm.vectors.shape[0]
+    basis = TwoExcitationBasis(N)
     m, n = basis.pair_m, basis.pair_n
     A = np.zeros((P.shape[0], N, N), dtype=complex)
     A[:, m, n] = P
@@ -191,7 +193,7 @@ def _fermionic_overlaps(P, ferm, basis):
     return np.sqrt(np.clip(top, 0.0, 1.0)), m[best], n[best]
 
 
-def fermionic_overlap(state, ferm, basis=None):
+def fermionic_overlap(state, ferm):
     """Best overlap with an antisymmetrized pair of one-excitation modes.
 
     For the pair (i, j) the unnormalized amplitude matrix is
@@ -200,10 +202,8 @@ def fermionic_overlap(state, ferm, basis=None):
     ||a_ij||^2 = ||v_i||^2 ||v_j||^2 - |(V^H V)_ij|^2.  Returns
     (overlap in [0, 1], i, j).
     """
-    if basis is None:
-        basis = TwoExcitationBasis(ferm.vectors.shape[0])
     psi = np.asarray(state, dtype=complex).reshape(1, -1)
-    overlap, i, j = _fermionic_overlaps(psi, ferm, basis)
+    overlap, i, j = _fermionic_overlaps(psi, ferm)
     return float(overlap[0]), int(i[0]), int(j[0])
 
 
@@ -242,7 +242,7 @@ def _circular_distance(a, b):
 _CHUNK_BYTES = 1 << 21
 
 
-def classify_state(pair, chain, ferm=None, basis=None, thresholds=None):
+def classify_state(pair, chain, ferm=None, thresholds=None):
     """Label a two-excitation eigenpair DimerI / DimerII / Fermionic / Other.
 
     Dimer labels need Re(lambda) inside the omega window AND the matching
@@ -251,10 +251,10 @@ def classify_state(pair, chain, ferm=None, basis=None, thresholds=None):
     pair overlap above threshold.  All metrics are modulus-based, so the
     label is invariant under a global phase or rescaling of the vector.
     """
-    return classify_states([pair], chain, ferm, basis, thresholds)[0]
+    return classify_states([pair], chain, ferm, thresholds)[0]
 
 
-def classify_states(pairs, chain, ferm=None, basis=None, thresholds=None):
+def classify_states(pairs, chain, ferm=None, thresholds=None):
     """classify_state of each eigenpair in a list, in list order.
 
     The states go through in chunks: one gather of their separation rows
@@ -266,8 +266,7 @@ def classify_states(pairs, chain, ferm=None, basis=None, thresholds=None):
     if ferm is None:
         ferm = fermionic_basis(chain)
     N = chain.N
-    if basis is None:
-        basis = TwoExcitationBasis(N)
+    basis = TwoExcitationBasis(N)
     gamma = chain.gamma1d
     om_I = theory.asymptotic_dimer(chain.kd, "I", gamma).omega
     om_II = theory.asymptotic_dimer(chain.kd, "II", gamma).omega
@@ -291,7 +290,7 @@ def classify_states(pairs, chain, ferm=None, basis=None, thresholds=None):
         near = np.take_along_axis(k_marginal, (peak[:, None] + bins) % N, axis=1)
         conc = near.sum(axis=1) / np.maximum(weights.sum(axis=(1, 2)), 1e-300)
         delta = 1 + np.argmax(np.abs(padded) ** 2 @ np.ones(N), axis=1)
-        overlap, fi, fj = _fermionic_overlaps(P[:, :-1], ferm, basis)
+        overlap, fi, fj = _fermionic_overlaps(P[:, :-1], ferm)
         for r, p in enumerate(chunk):
             dist_I = abs(p.lam.real - om_I)
             dist_II = abs(p.lam.real - om_II)

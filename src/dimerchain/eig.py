@@ -1,8 +1,8 @@
 """Eigensolvers for the non-Hermitian effective Hamiltonians.
 
-Dense full decomposition (LAPACK zgeev) for small matrices, and a
-shift-invert Krylov-Schur Arnoldi engine that targets the dimer
-asymptotic eigenvalues of the hard-core two-excitation sector.
+Dense full decomposition (LAPACK zgeev) of matrices up to DENSE_CAP
+rows, and a shift-invert Krylov-Schur Arnoldi engine that targets the
+dimer asymptotic eigenvalues of the hard-core two-excitation sector.
 
 A clean chain is invariant under the site reflection j -> N-1-j, and so
 is its pair sector under the pair mirror (m, n) -> (N-1-n, N-1-m).  The
@@ -36,7 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-DENSE_CAP_DEFAULT = 6000
+from .model import TwoExcitationBasis
+
+# largest matrix eig_dense_all takes; experiments.config checks runs against it
+DENSE_CAP = 6000
 
 # the solver_mode that spectra of targeted solves record
 SOLVER_MODE = "si-direct"
@@ -108,11 +111,7 @@ class SolverConfig:
 def _as_matvec(apply_H):
     if isinstance(apply_H, np.ndarray):
         return lambda x: apply_H @ x
-    if hasattr(apply_H, "matvec"):
-        return apply_H.matvec
-    if callable(apply_H):
-        return apply_H
-    raise TypeError("apply_H must be a dense matrix or a matvec callable")
+    return apply_H.matvec
 
 
 def residual_norm(apply_H, pair):
@@ -121,8 +120,10 @@ def residual_norm(apply_H, pair):
     return float(np.linalg.norm(mv(pair.vector) - pair.lam * pair.vector))
 
 
-def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, mirror=None):
+def eig_dense_all(H, mirror=None):
     """All eigenpairs of a dense matrix, with per-pair true residuals.
+
+    H has at most DENSE_CAP rows; a larger one raises ValueError.
 
     mirror is an involution img of the basis indices under which H is
     exactly invariant, H[img][:, img] == H; for a clean chain's pair
@@ -135,8 +136,8 @@ def eig_dense_all(H, cap=DENSE_CAP_DEFAULT, mirror=None):
     n = H.shape[0]
     if H.shape != (n, n):
         raise ValueError("H must be square")
-    if n > cap:
-        raise ValueError(f"dimension {n} exceeds dense cap {cap}")
+    if n > DENSE_CAP:
+        raise ValueError(f"dimension {n} exceeds dense cap {DENSE_CAP}")
     t0 = time.perf_counter()
     md = {"solver_mode": "dense", "dim": n}
     if mirror is None:
@@ -233,8 +234,8 @@ def _make_shift_solver(ferm, sigma):
     """x -> (H2 - sigma)^{-1} x on pair amplitudes, exact.
 
     H2 is the hard-core two-excitation sector of a complex symmetric
-    one-excitation Hamiltonian H1, in the row-major pair order of
-    numpy.triu_indices(N, 1).  ferm is the chain's analysis.FermionicBasis,
+    one-excitation Hamiltonian H1, in the pair order of
+    model.TwoExcitationBasis(N).  ferm is the chain's analysis.FermionicBasis,
     whose values, vectors and inverse give H1 = V diag(lam) W, W = V^{-1}.
     Set-up is the inverse of an N x N capacitance matrix built from N
     GEMMs; each apply is six N x N GEMMs and one N x N matrix-vector
@@ -252,18 +253,16 @@ def _make_shift_solver(ferm, sigma):
     for i in range(N):
         G += np.outer(V[:, i], W[i]) * ((V * Dinv[i]) @ W)
     Ginv = np.linalg.inv(G)
-    iu = np.triu_indices(N, 1)
+    basis = TwoExcitationBasis(N)
 
     def solve(x):
-        X = np.zeros((N, N), dtype=complex)
-        X[iu] = x
-        X.T[iu] = x
+        X = basis.to_matrix(x)
         # (L - sigma)^{-1} X = V Z V^T; then the Schur complement cancels
         # the diagonal it fills in, so the result solves the hard-core problem
         VZ = V @ ((W @ X @ W.T) * Dinv)
         c = Ginv @ np.einsum("ai,ai->a", VZ, V)
         VZ -= V @ (((W * c) @ W.T) * Dinv)
-        return (VZ @ V.T)[iu]
+        return basis.from_matrix(VZ @ V.T)
 
     solve.sigma = sigma
     return solve
@@ -290,11 +289,12 @@ def _arnoldi_extend(T, V, S, k, m):
     return m
 
 
-def eig_target(apply_H, dim, config, solve, v0=None):
+def eig_target(apply_H, config, solve, v0=None):
     """`count` eigenpairs of H nearest the shift of `solve`.
 
-    apply_H is a dense matrix or a matvec (closure or object with
-    .matvec) used for the true residuals ||H v - lambda v||.  solve
+    apply_H is a dense matrix or an operator with .matvec and .dim (such
+    as model.TwoExcitationWaveguideOp), used for the true residuals
+    ||H v - lambda v||; the dimension is its shape[0] or .dim.  solve
     applies (H - solve.sigma)^{-1}, as made by _make_shift_solver; one
     solver serves every call at the same shift.  v0 overrides the seeded
     random starting vector (warm starts across a sweep).
@@ -302,6 +302,7 @@ def eig_target(apply_H, dim, config, solve, v0=None):
     t0 = time.perf_counter()
     sigma = solve.sigma
     mv = _as_matvec(apply_H)
+    dim = apply_H.shape[0] if isinstance(apply_H, np.ndarray) else apply_H.dim
     if dim == 1:
         e1 = np.ones(1, dtype=complex)
         lam = complex(mv(e1)[0])

@@ -14,6 +14,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .. import eig
+
 EXPERIMENTS = (
     "spectrum",
     "phase-diagram",
@@ -263,6 +265,15 @@ def parse_config(doc, experiment=None):
                                       f"{lo}..{N - hi} for {exp} at N={N}")
     if min(cfg.M, default=1) < 1:
         raise ConfigError("M values must be at least 1")
+    # dense eigenproblems: the missing-site chain (N - 1), and map-check's
+    # defect relative model (2M) and profile relative model (M = N - 1)
+    dense = {N - 1: f"N={N}" for N in cfg.N
+             if exp in ("defect", "freespace", "map-check")}
+    dense.update({2 * M: f"M={M}" for M in cfg.M if exp == "map-check"})
+    dim = max(dense, default=0)
+    if dim > eig.DENSE_CAP:
+        raise ConfigError(f"{exp} at {dense[dim]} needs a dense eigenproblem of "
+                          f"dimension {dim}, above the dense cap {eig.DENSE_CAP}")
     if exp == "freespace" and kernel == "waveguide":
         raise ConfigError("freespace needs a free-space kernel: "
                           "transverse or parallel")

@@ -121,11 +121,9 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def write_vectors(path, vectors, meta=None):
+def write_vectors(path, vectors):
     """Dump named complex vectors as JSON arrays of [re, im] pairs."""
     doc = {"schema_version": SCHEMA_VERSION, "vectors": {}}
-    if meta:
-        doc["meta"] = meta
     for name, vec in vectors.items():
         doc["vectors"][name] = [[float(z.real), float(z.imag)] for z in vec]
     with open(path, "w", encoding="utf-8") as f:

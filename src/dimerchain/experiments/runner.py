@@ -105,7 +105,7 @@ def _targeted_two_exc(op, solve, cfg, count=None, v0=None):
         max_subspace=cfg.solver.max_subspace,
         seed=cfg.seed,
     )
-    return eig.eig_target(op, op.dim, sc, solve, v0=v0)
+    return eig.eig_target(op, sc, solve, v0=v0)
 
 
 # position disorder broadens the K wavepacket of a dimer without touching
@@ -115,8 +115,7 @@ DISORDER_THRESHOLDS = analysis.ClassifierThresholds(
     concentration_min=0.25, concentration_bins=4)
 
 
-def find_dimer(chain, dimer_type, cfg, ferm=None, basis=None, v0=None,
-               thresholds=None):
+def find_dimer(chain, dimer_type, cfg, ferm=None, v0=None, thresholds=None):
     """Most subradiant DimerI / DimerII state near its asymptotic value.
 
     Classifies the eigenpairs returned by a targeted solve; escalates the
@@ -128,15 +127,13 @@ def find_dimer(chain, dimer_type, cfg, ferm=None, basis=None, v0=None,
     th = theory.asymptotic_dimer(chain.kd, dimer_type, chain.gamma1d)
     if ferm is None:
         ferm = analysis.fermionic_basis(chain)
-    if basis is None:
-        basis = TwoExcitationBasis(chain.N)
-    op = TwoExcitationWaveguideOp(chain, basis)
+    op = TwoExcitationWaveguideOp(chain)
     solve = eig._make_shift_solver(ferm, th.omega)
     spec = None
     for count in (cfg.solver.count, 4 * cfg.solver.count):
         spec = _targeted_two_exc(op, solve, cfg, count=count, v0=v0)
         classes = analysis.classify_states(spec.pairs, chain, ferm=ferm,
-                                           basis=basis, thresholds=thresholds)
+                                           thresholds=thresholds)
         try:
             i = analysis.most_subradiant_index(
                 spec.pairs, classes, label=label, omega_target=th.omega)
@@ -172,10 +169,11 @@ def _dimer(chain, dimer_type, cfg, sample=-1, **kwargs):
         eig.SOLVER_MODE, pair.residual, wall, cfg.seed, sample_index=sample)]
 
 
-def _embed_pair_vector(v, basis_old, basis_new):
+def _embed_pair_vector(v, N_old, N_new):
     """Zero-padded embedding of pair amplitudes into a larger chain."""
-    out = np.zeros(basis_new.dim, dtype=complex)
-    out[basis_new.flatten(basis_old.pair_m, basis_old.pair_n)] = v
+    old, new = TwoExcitationBasis(N_old), TwoExcitationBasis(N_new)
+    out = np.zeros(new.dim, dtype=complex)
+    out[new.flatten(old.pair_m, old.pair_n)] = v
     return out
 
 
@@ -198,7 +196,6 @@ def disorder_offsets(seed, sample_index, N, delta, d=1.0):
 def _spectrum_point(task, cfg):
     N, kd_over_pi, kd = task
     chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-    basis = TwoExcitationBasis(N)
     # full spectra are dense; past the cap (parse_config allows it only
     # with solver.fallback) the run degrades to a targeted partial
     # spectrum around both dimer branches (flagged in metadata)
@@ -206,14 +203,14 @@ def _spectrum_point(task, cfg):
     ferm = analysis.fermionic_basis(chain)
     t0 = time.perf_counter()
     if not partial:
-        H2 = build_two_hamiltonian(chain, basis=basis)
-        spec = eig.eig_dense_all(H2, mirror=basis.mirror())
+        H2 = build_two_hamiltonian(chain)
+        spec = eig.eig_dense_all(H2, mirror=TwoExcitationBasis(N).mirror())
         pairs = spec.pairs
         sectors = spec.meta["mirror_sectors"]
         trace_gap = abs(np.sum(spec.eigenvalues) - np.trace(H2)) / max(
             abs(np.trace(H2)), 1e-300)
     else:
-        op = TwoExcitationWaveguideOp(chain, basis)
+        op = TwoExcitationWaveguideOp(chain)
         seen, pairs = set(), []
         for t in ("I", "II"):
             om = theory.asymptotic_dimer(kd, t, cfg.gamma).omega
@@ -225,7 +222,7 @@ def _spectrum_point(task, cfg):
                     pairs.append(p)
         trace_gap = sectors = None
     wall = time.perf_counter() - t0
-    classes = analysis.classify_states(pairs, chain, ferm=ferm, basis=basis)
+    classes = analysis.classify_states(pairs, chain, ferm=ferm)
     mode_used = "dense" if not partial else eig.SOLVER_MODE
     records = [make_record("spectrum", N, kd, "two-exc", c.label, p.lam,
                            mode_used, p.residual, wall, cfg.seed)
@@ -324,7 +321,6 @@ def _scaling_series(task, cfg):
     warm = {"I": None, "II": None}
     for N in Ns:
         chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-        basis = TwoExcitationBasis(N)
         ferm = analysis.fermionic_basis(chain)
         one, rec = _one_exc(chain, ferm, cfg)
         records += rec
@@ -332,8 +328,7 @@ def _scaling_series(task, cfg):
             (N, one.decay_rate))
         for t in ("I", "II"):
             name = "Dimer" + t
-            pair, rec = _dimer(chain, t, cfg, ferm=ferm, basis=basis,
-                               v0=warm[t])
+            pair, rec = _dimer(chain, t, cfg, ferm=ferm, v0=warm[t])
             records += rec
             if pair is None:
                 rows.append([N, kd_over_pi, name, "", "", eig.SOLVER_MODE])
@@ -344,8 +339,8 @@ def _scaling_series(task, cfg):
             rows.append([N, kd_over_pi, name, pair.lam.real,
                          pair.decay_rate, eig.SOLVER_MODE])
             if N != Ns[-1]:
-                nxt = TwoExcitationBasis(Ns[Ns.index(N) + 1])
-                warm[t] = _embed_pair_vector(pair.vector, basis, nxt)
+                warm[t] = _embed_pair_vector(pair.vector, N,
+                                             Ns[Ns.index(N) + 1])
     return records, rows, {}, series
 
 

@@ -159,7 +159,9 @@ class ChainGeometry:
 class TwoExcitationBasis:
     """Bijection between ordered pairs (m,n), m<n, and flat indices 0..D-1.
 
-    Row-major pair order, matching numpy.triu_indices(N, 1).
+    The one definition of the pair order, which N alone fixes: row-major,
+    matching numpy.triu_indices(N, 1).  Every pair-sector function builds
+    the basis of its chain's N; none takes one as an argument.
     """
 
     def __init__(self, N):
@@ -209,14 +211,20 @@ class TwoExcitationBasis:
 
 
 def build_single_hamiltonian(chain, kernel=None):
-    """One-excitation sector of H, an N x N complex symmetric matrix."""
+    """One-excitation sector of H, an N x N complex symmetric matrix.
+
+    A clean chain's separations are (m - n) * d, exactly mirror symmetric.
+    """
     if kernel is None:
         kernel = chain.default_kernel()
+    if chain.offsets is None:
+        j = np.arange(chain.N)
+        return kernel.matrix((j[:, None] - j[None, :]) * chain.d)
     z = chain.positions
     return kernel.matrix(z[:, None] - z[None, :])
 
 
-def build_two_hamiltonian(chain, kernel=None, basis=None):
+def build_two_hamiltonian(chain, kernel=None):
     """Two-excitation sector with the hard-core constraint, D = N(N-1)/2.
 
     Pairs couple iff they share exactly one site; the matrix element is the
@@ -224,11 +232,8 @@ def build_two_hamiltonian(chain, kernel=None, basis=None):
     """
     if kernel is None:
         kernel = chain.default_kernel()
-    if basis is None:
-        basis = TwoExcitationBasis(chain.N)
-    if basis.N != chain.N:
-        raise ValueError("basis.N must equal chain.N")
     N = chain.N
+    basis = TwoExcitationBasis(N)
     V = build_single_hamiltonian(chain, kernel)
     np.fill_diagonal(V, 0.0)
     P = basis.pair_index_matrix()
@@ -254,11 +259,9 @@ class TwoExcitationWaveguideOp:
     Total cost O(N^2) per matvec against O(N^4) for the dense product.
     """
 
-    def __init__(self, chain, basis=None):
+    def __init__(self, chain):
         self.chain = chain
-        self.basis = basis if basis is not None else TwoExcitationBasis(chain.N)
-        if self.basis.N != chain.N:
-            raise ValueError("basis.N must equal chain.N")
+        self.basis = TwoExcitationBasis(chain.N)
         self.dim = self.basis.dim
         self.gamma = chain.gamma1d
         ph = _unit_phasor(chain.k1d, chain.positions)
@@ -277,8 +280,6 @@ class TwoExcitationWaveguideOp:
         SPsi = -0.5j * self.gamma * (EPsi - Psi)  # remove kernel diagonal
         R = SPsi + SPsi.T - 1j * self.gamma * Psi
         return self.basis.from_matrix(R)
-
-    __call__ = matvec
 
     def diagonal(self):
         """Diagonal of H2 (all entries -i*Gamma)."""
@@ -348,7 +349,7 @@ def build_missing_site_hamiltonian(chain, site, kernel=None):
     return kernel.matrix(z[:, None] - z[None, :])
 
 
-def k_delta_vector(chain, Kd, delta, basis=None, normalized=False):
+def k_delta_vector(chain, Kd, delta, normalized=False):
     """Pair-basis amplitudes of the |K; Delta> ansatz.
 
     Amplitude exp(i K Z_c) on pairs (m, m+delta) with index-center
@@ -358,8 +359,7 @@ def k_delta_vector(chain, Kd, delta, basis=None, normalized=False):
     N = chain.N
     if not 1 <= delta <= N - 1:
         raise ValueError("delta must be in 1..N-1")
-    if basis is None:
-        basis = TwoExcitationBasis(N)
+    basis = TwoExcitationBasis(N)
     m = np.arange(N - delta)
     amp = np.exp(1j * Kd * (m + delta / 2.0))
     if normalized:
@@ -369,27 +369,19 @@ def k_delta_vector(chain, Kd, delta, basis=None, normalized=False):
     return psi
 
 
-def tails_residual(chain, Kd, delta, basis=None):
+def tails_residual(chain, Kd, delta):
     """K-conservation breaking remainder of H2 acting on |K; Delta>.
 
     Returns H2 |K;Delta> - sum_{Delta'} H^K_{Delta,Delta'} |K;Delta'> on the
-    pair basis.  Support is confined to pairs with one member within Delta
-    of either chain end (two boundary spin-wave terms).
+    pair basis, with H^K the relative model on Delta'/d in {1..N-1}.
+    Support is confined to pairs with one member within Delta of either
+    chain end (two boundary spin-wave terms).
     """
     N = chain.N
-    if basis is None:
-        basis = TwoExcitationBasis(N)
-    op = TwoExcitationWaveguideOp(chain, basis)
-    lhs = op.matvec(k_delta_vector(chain, Kd, delta, basis))
-    kd, gamma = chain.kd, chain.gamma1d
-    rhs = np.zeros(basis.dim, dtype=complex)
-    dprime = np.arange(1, N)
-    coeff = np.zeros(N - 1, dtype=complex)
-    for eps in (1.0, -1.0):
-        k_eff = kd + eps * Kd / 2.0
-        for epsp in (1.0, -1.0):
-            coeff += _unit_phasor(k_eff, np.abs(delta - epsp * dprime))
-    coeff *= -0.5j * gamma
-    for dp, c in zip(dprime, coeff):
-        rhs += c * k_delta_vector(chain, Kd, int(dp), basis)
+    lhs = TwoExcitationWaveguideOp(chain).matvec(k_delta_vector(chain, Kd, delta))
+    row = build_relative_hamiltonian(
+        RelativeModelSpec(Kd, N - 1, chain.kd, chain.gamma1d))[delta - 1]
+    rhs = np.zeros_like(lhs)
+    for dp, c in enumerate(row, start=1):
+        rhs += c * k_delta_vector(chain, Kd, dp)
     return lhs - rhs

@@ -97,7 +97,7 @@ def omega_relative(kd, qd, gamma=1.0):
 
 def omega_defect(kd, qd, gamma=1.0):
     """Defect-model dispersion, exactly half the relative one."""
-    return 0.25 * gamma * (_cot((kd + qd) / 2.0) + _cot((kd - qd) / 2.0))
+    return omega_relative(kd, qd, gamma) / 2.0
 
 
 @dataclass(frozen=True)

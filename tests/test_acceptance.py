@@ -65,18 +65,17 @@ def dimer_states_n100():
     cfg = RunConfig(experiment="spectrum", seed=0,
                     solver=SolverSettings())
     N = 100
-    basis = TwoExcitationBasis(N)
     out = {}
     for kd_over_pi in (0.2, 0.25):
         chain = ChainGeometry.from_kd(N, kd_over_pi * np.pi)
         ferm = analysis.fermionic_basis(chain)
         for dimer_type in ("I", "II"):
             pair, cls, _ = runner.find_dimer(chain, dimer_type, cfg,
-                                             ferm=ferm, basis=basis)
+                                             ferm=ferm)
             if pair is None:
                 raise RuntimeError(
                     f"Dimer{dimer_type} not found at kd = {kd_over_pi} pi")
-            dec = analysis.k_delta_decompose(pair.vector, chain, basis=basis)
+            dec = analysis.k_delta_decompose(pair.vector, chain)
             out[(kd_over_pi, dimer_type)] = (pair, cls, dec)
     return out
 
@@ -106,16 +105,14 @@ def dimer_ii_rates_consecutive():
     rates, prev = [], None
     for N in sizes:
         chain = ChainGeometry.from_kd(N, kd)
-        basis = TwoExcitationBasis(N)
         v0 = None
         if prev is not None:
-            v0 = runner._embed_pair_vector(prev[0], prev[1], basis)
-        pair, _, _ = runner.find_dimer(chain, "II", cfg,
-                                       basis=basis, v0=v0)
+            v0 = runner._embed_pair_vector(prev[0], prev[1], N)
+        pair, _, _ = runner.find_dimer(chain, "II", cfg, v0=v0)
         if pair is None:
             raise RuntimeError(f"DimerII not found at N={N}")
         rates.append(pair.decay_rate)
-        prev = (pair.vector, basis)
+        prev = (pair.vector, N)
     return sizes, np.array(rates)
 
 
@@ -149,18 +146,16 @@ def test_a2_dimer_i_energy_convergence():
         gaps, prev, wall = [], None, 0.0
         for N in (60, 90, 120):
             chain = ChainGeometry.from_kd(N, kd)
-            basis = TwoExcitationBasis(N)
             v0 = None
             if prev is not None:
-                v0 = runner._embed_pair_vector(prev[0], prev[1], basis)
+                v0 = runner._embed_pair_vector(prev[0], prev[1], N)
             t0 = time.perf_counter()
-            pair, _, _ = runner.find_dimer(chain, "I", cfg,
-                                           basis=basis, v0=v0)
+            pair, _, _ = runner.find_dimer(chain, "I", cfg, v0=v0)
             wall += time.perf_counter() - t0
             if pair is None:
                 return False, f"DimerI not found at N={N}"
             gaps.append(abs(pair.lam.real - target))
-            prev = (pair.vector, basis)
+            prev = (pair.vector, N)
         ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] < 0.05 and wall < 60.0
         return ok, ("|Re lambda - 2 cot(kd)| at N=60,90,120: "
                     + " > ".join(f"{g:.4f}" for g in gaps)
@@ -231,16 +226,14 @@ def test_a5_scaling_exponents(scaling_run):
         t0 = time.perf_counter()
         for N in sizes:
             chain = ChainGeometry.from_kd(N, kd)
-            basis = TwoExcitationBasis(N)
             v0 = None
             if prev is not None:
-                v0 = runner._embed_pair_vector(prev[0], prev[1], basis)
-            pair, _, _ = runner.find_dimer(chain, "I", cfg,
-                                           basis=basis, v0=v0)
+                v0 = runner._embed_pair_vector(prev[0], prev[1], N)
+            pair, _, _ = runner.find_dimer(chain, "I", cfg, v0=v0)
             if pair is None:
                 return False, f"DimerI not found at N={N}"
             rates.append(pair.decay_rate)
-            prev = (pair.vector, basis)
+            prev = (pair.vector, N)
         wall = wall_sweep + time.perf_counter() - t0
         e_i = analysis.fit_power_law(sizes, rates, window=(50, 150)).exponent
         ok = (abs(e_one + 3.0) <= 0.3 and abs(e_i + 2.0) <= 0.3
@@ -259,13 +252,10 @@ def test_a6_crossover_size():
             chain = ChainGeometry.from_kd(N, kd)
             one_min = float(analysis.decay_rate(
                 np.linalg.eigvals(build_single_hamiltonian(chain))).min())
-            basis = TwoExcitationBasis(N)
             ferm = analysis.fermionic_basis(chain)
-            spec = eig.eig_dense_all(build_two_hamiltonian(chain,
-                                                           basis=basis))
+            spec = eig.eig_dense_all(build_two_hamiltonian(chain))
             for p in spec.pairs:  # sorted by decay: first DimerII wins
-                cls = analysis.classify_state(p, chain, ferm=ferm,
-                                              basis=basis)
+                cls = analysis.classify_state(p, chain, ferm=ferm)
                 if cls.label == analysis.DIMER_II:
                     if p.decay_rate < one_min:
                         ok = 40 <= N <= 60
@@ -384,8 +374,8 @@ def test_a11_fast_apply():
         # exact agreement with the dense matrix at N = 40
         chain = ChainGeometry.from_kd(40, 0.2 * np.pi)
         basis = TwoExcitationBasis(40)
-        H2 = build_two_hamiltonian(chain, basis=basis)
-        op = TwoExcitationWaveguideOp(chain, basis)
+        H2 = build_two_hamiltonian(chain)
+        op = TwoExcitationWaveguideOp(chain)
         x = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         ref = H2 @ x
         agree40 = float(np.linalg.norm(op.matvec(x) - ref)
@@ -396,7 +386,7 @@ def test_a11_fast_apply():
         N = 200
         chain = ChainGeometry.from_kd(N, 0.2 * np.pi)
         basis = TwoExcitationBasis(N)
-        op = TwoExcitationWaveguideOp(chain, basis)
+        op = TwoExcitationWaveguideOp(chain)
         D = basis.dim
         x = rng.standard_normal(D) + 1j * rng.standard_normal(D)
         op.matvec(x)  # warm up

@@ -33,7 +33,7 @@ def random_state(basis):
 def test_decompose_exact_reconstruction():
     chain = ChainGeometry.from_kd(14, 0.2 * np.pi)
     basis = TwoExcitationBasis(14)
-    dec = analysis.k_delta_decompose(random_state(basis), chain, basis=basis)
+    dec = analysis.k_delta_decompose(random_state(basis), chain)
     assert dec.residual < 1e-12
     assert dec.total_weight <= 1.0 + 1e-12
     assert np.allclose(dec.delta_profile.sum(), 1.0)
@@ -44,10 +44,9 @@ def test_decompose_exact_bin_self():
     # ansatz on an exact FFT bin: single-row, single-column content
     N, j0, d0 = 24, 9, 3
     chain = ChainGeometry.from_kd(N, 0.25 * np.pi)
-    basis = TwoExcitationBasis(N)
     Kd = 2.0 * np.pi * j0 / N
-    psi = k_delta_vector(chain, Kd, d0, basis=basis, normalized=True)
-    dec = analysis.k_delta_decompose(psi, chain, basis=basis)
+    psi = k_delta_vector(chain, Kd, d0, normalized=True)
+    dec = analysis.k_delta_decompose(psi, chain)
     assert dec.dominant_delta == d0
     wrapped = Kd - 2 * np.pi if Kd > np.pi else Kd
     assert dec.dominant_Kd == pytest.approx(wrapped)
@@ -62,11 +61,10 @@ def test_decompose_exact_bin_self():
 def test_decompose_separation_mixture():
     # two even separations with known weights; odd weight exactly zero
     chain = ChainGeometry.from_kd(20, 0.25 * np.pi)
-    basis = TwoExcitationBasis(20)
-    a = k_delta_vector(chain, np.pi, 2, basis=basis, normalized=True)
-    b = k_delta_vector(chain, np.pi, 4, basis=basis, normalized=True)
+    a = k_delta_vector(chain, np.pi, 2, normalized=True)
+    b = k_delta_vector(chain, np.pi, 4, normalized=True)
     psi = np.sqrt(0.8) * a + np.sqrt(0.2) * b
-    dec = analysis.k_delta_decompose(psi, chain, basis=basis)
+    dec = analysis.k_delta_decompose(psi, chain)
     assert dec.odd_delta_weight() == 0.0
     assert dec.weight_beyond_delta(2) == pytest.approx(0.2)
     assert dec.weight_beyond_delta(4) == 0.0
@@ -97,7 +95,7 @@ def test_fermionic_overlap_exact_pair():
     vi, vj = ferm.vectors[:, i], ferm.vectors[:, j]
     A = np.outer(vi, vj) - np.outer(vj, vi)
     psi = A[basis.pair_m, basis.pair_n]
-    overlap, bi, bj = analysis.fermionic_overlap(psi, ferm, basis=basis)
+    overlap, bi, bj = analysis.fermionic_overlap(psi, ferm)
     assert overlap == pytest.approx(1.0, abs=1e-10)
     assert (bi, bj) == (i, j)
 
@@ -107,9 +105,8 @@ def test_fermionic_overlap_scale_invariant():
     basis = TwoExcitationBasis(10)
     ferm = analysis.fermionic_basis(chain)
     psi = random_state(basis)
-    o1, i1, j1 = analysis.fermionic_overlap(psi, ferm, basis=basis)
-    o2, i2, j2 = analysis.fermionic_overlap(3.0 * np.exp(0.7j) * psi, ferm,
-                                            basis=basis)
+    o1, i1, j1 = analysis.fermionic_overlap(psi, ferm)
+    o2, i2, j2 = analysis.fermionic_overlap(3.0 * np.exp(0.7j) * psi, ferm)
     assert o1 == pytest.approx(o2) and (i1, j1) == (i2, j2)
     assert 0.0 <= o1 <= 1.0
 
@@ -125,20 +122,19 @@ def test_fermionic_reference_n2():
 
 def synthetic_dimer_ii(N=25, kd=0.25 * np.pi):
     chain = ChainGeometry.from_kd(N, kd)
-    basis = TwoExcitationBasis(N)
-    psi = k_delta_vector(chain, np.pi, 2, basis=basis, normalized=True)
+    psi = k_delta_vector(chain, np.pi, 2, normalized=True)
     om = theory.asymptotic_dimer(kd, "II").omega
-    return chain, basis, EigenPair(complex(om, -1e-3), psi, 0.0)
+    return chain, EigenPair(complex(om, -1e-3), psi, 0.0)
 
 
 def test_classify_synthetic_dimer_ii():
     # pure Delta = 2 ansatz at the EPR point: odd-separation weight is
     # exactly zero and the K content sits at the zone edge
-    chain, basis, pair = synthetic_dimer_ii()
-    cls = analysis.classify_state(pair, chain, basis=basis)
+    chain, pair = synthetic_dimer_ii()
+    cls = analysis.classify_state(pair, chain)
     assert cls.label == "DimerII"
     assert cls.dominant_delta == 2
-    dec = analysis.k_delta_decompose(pair.vector, chain, basis=basis)
+    dec = analysis.k_delta_decompose(pair.vector, chain)
     assert dec.odd_delta_weight() < 1e-3
     assert abs(abs(cls.dominant_Kd) - np.pi) < 0.2 * np.pi
     assert cls.k_concentration > 0.9
@@ -147,41 +143,40 @@ def test_classify_synthetic_dimer_ii():
 def test_classify_synthetic_dimer_i():
     N, kd = 24, 0.2 * np.pi
     chain = ChainGeometry.from_kd(N, kd)
-    basis = TwoExcitationBasis(N)
     deltas, p = theory.dimer_profile_pdf(kd, "I", 8)
-    psi = sum(np.sqrt(pi) * k_delta_vector(chain, 0.0, int(d), basis=basis,
+    psi = sum(np.sqrt(pi) * k_delta_vector(chain, 0.0, int(d),
                                            normalized=True)
               for d, pi in zip(deltas, p))
     om = theory.asymptotic_dimer(kd, "I").omega
     cls = analysis.classify_state(EigenPair(complex(om, -1e-4), psi, 0.0),
-                                  chain, basis=basis)
+                                  chain)
     assert cls.label == "DimerI"
     assert cls.dominant_delta == 1
     assert abs(cls.dominant_Kd) <= 0.2 * np.pi
 
 
 def test_classify_rejects_wrong_energy():
-    chain, basis, pair = synthetic_dimer_ii()
+    chain, pair = synthetic_dimer_ii()
     shifted = EigenPair(pair.lam + 2.0, pair.vector, 0.0)
-    cls = analysis.classify_state(shifted, chain, basis=basis)
+    cls = analysis.classify_state(shifted, chain)
     assert cls.label != "DimerII"
 
 
 def test_classify_scale_invariance():
-    chain, basis, pair = synthetic_dimer_ii()
+    chain, pair = synthetic_dimer_ii()
     scaled = EigenPair(pair.lam, 5.0 * np.exp(1.3j) * pair.vector, 0.0)
-    a = analysis.classify_state(pair, chain, basis=basis)
-    b = analysis.classify_state(scaled, chain, basis=basis)
+    a = analysis.classify_state(pair, chain)
+    b = analysis.classify_state(scaled, chain)
     assert a.label == b.label
     assert a.k_concentration == pytest.approx(b.k_concentration)
     assert a.fermionic_overlap == pytest.approx(b.fermionic_overlap)
 
 
 def test_classify_thresholds_recorded():
-    chain, basis, pair = synthetic_dimer_ii()
+    chain, pair = synthetic_dimer_ii()
     th = analysis.ClassifierThresholds(concentration_min=0.25,
                                        concentration_bins=4)
-    cls = analysis.classify_state(pair, chain, basis=basis, thresholds=th)
+    cls = analysis.classify_state(pair, chain, thresholds=th)
     assert cls.thresholds is th
 
 
@@ -189,10 +184,9 @@ def test_real_spectrum_branches_n50():
     # full dense two-excitation spectrum: both dimer branches present,
     # plus doubly subradiant fermionic states; counts conserve dimension
     chain = ChainGeometry.from_kd(50, 0.2 * np.pi)
-    basis = TwoExcitationBasis(50)
-    spec = eig_dense_all(build_two_hamiltonian(chain, basis=basis))
+    spec = eig_dense_all(build_two_hamiltonian(chain))
     ferm = analysis.fermionic_basis(chain)
-    classes = [analysis.classify_state(p, chain, ferm=ferm, basis=basis)
+    classes = [analysis.classify_state(p, chain, ferm=ferm)
                for p in spec.pairs]
     counts = analysis.branch_summary(
         classes, np.linalg.eigvals(build_single_hamiltonian(chain)))
@@ -205,7 +199,7 @@ def test_real_spectrum_branches_n50():
 def reference_metrics(pair, chain, ferm, basis):
     """The classifier's metrics for one state: the K-Delta ones from
     k_delta_decompose, the fermionic overlap written out per pair matrix."""
-    dec = analysis.k_delta_decompose(pair.vector, chain, basis=basis)
+    dec = analysis.k_delta_decompose(pair.vector, chain)
     Psi = basis.to_matrix(pair.vector)
     A = np.triu(Psi, 1) - np.triu(Psi, 1).T
     V = ferm.vectors
@@ -227,16 +221,16 @@ def test_classify_states_matches_per_state():
     N = 40
     chain = ChainGeometry.from_kd(N, 0.2 * np.pi)
     basis = TwoExcitationBasis(N)
-    spec = eig_dense_all(build_two_hamiltonian(chain, basis=basis),
+    spec = eig_dense_all(build_two_hamiltonian(chain),
                          mirror=basis.mirror())
     ferm = analysis.fermionic_basis(chain)
     step = analysis._CHUNK_BYTES // (16 * N * N)
     assert 1 < step < len(spec) and len(spec) % step != 0
     for pairs in (spec.pairs, spec.pairs[:step + 3], spec.pairs[:1]):
-        batch = analysis.classify_states(pairs, chain, ferm=ferm, basis=basis)
+        batch = analysis.classify_states(pairs, chain, ferm=ferm)
         assert len(batch) == len(pairs)
         for p, c in zip(pairs, batch):
-            one = analysis.classify_state(p, chain, ferm=ferm, basis=basis)
+            one = analysis.classify_state(p, chain, ferm=ferm)
             assert (c.label, c.dominant_delta, c.fermionic_pair) == (
                 one.label, one.dominant_delta, one.fermionic_pair)
             for name in ("omega_distance_I", "omega_distance_II", "dominant_Kd",

@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg as sla
 from scipy.optimize import linear_sum_assignment
 
-from dimerchain import analysis, theory
+from dimerchain import analysis, eig, theory
 from dimerchain.eig import (
     EigenPair,
     RestartLimitExceeded,
@@ -34,6 +34,7 @@ from dimerchain.experiments.config import RunConfig, parse_config
 from dimerchain.experiments.runner import disorder_offsets
 from dimerchain.model import (
     ChainGeometry,
+    FreeSpace3D,
     TwoExcitationBasis,
     TwoExcitationWaveguideOp,
     build_single_hamiltonian,
@@ -50,7 +51,7 @@ def targeted(chain, sigma, cfg, v0=None):
     """Structured shift-invert solve of the chain's two-excitation sector."""
     op = TwoExcitationWaveguideOp(chain)
     solve = _make_shift_solver(analysis.fermionic_basis(chain), sigma)
-    return eig_target(op, op.dim, cfg, solve, v0=v0)
+    return eig_target(op, cfg, solve, v0=v0)
 
 
 def nearest_dense(full, sigma, count):
@@ -101,12 +102,9 @@ def test_dense_full_two_exc_spectrum_n50():
     assert np.min(-2 * lam.imag) < 1e-3  # subradiant branch present
 
 
-@pytest.mark.parametrize("kd_over_pi", [0.1, 0.25, 0.45])
-@pytest.mark.parametrize("N", [2, 3, 12, 40])
-def test_dense_mirror_sectors(N, kd_over_pi):
+def check_mirror_sectors(N, H2):
     # the even and odd blocks of the pair mirror give the full spectrum,
     # with true residuals and zgeev's vector normalization
-    _, H2 = two_exc(N, kd_over_pi)
     img = TwoExcitationBasis(N).mirror()
     full = eig_dense_all(H2)
     split = eig_dense_all(H2, mirror=img)
@@ -126,6 +124,21 @@ def test_dense_mirror_sectors(N, kd_over_pi):
     assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-13)
     top = V[np.argmax(np.abs(V), axis=0), np.arange(D)]
     assert np.all(top.imag == 0.0) and np.all(top.real > 0.0)
+
+
+@pytest.mark.parametrize("kd_over_pi", [0.1, 0.25, 0.45])
+@pytest.mark.parametrize("N", [2, 3, 12, 40])
+def test_dense_mirror_sectors(N, kd_over_pi):
+    check_mirror_sectors(N, two_exc(N, kd_over_pi)[1])
+
+
+@pytest.mark.parametrize("polarization", ["transverse", "parallel"])
+def test_dense_mirror_sectors_free_space(polarization):
+    # a clean chain at d = 0.35 lambda0, where m*d is not mirror symmetric
+    # in floating point: H1 is built from integer site differences times d
+    kernel = FreeSpace3D(lambda0=1.0, polarization=polarization)
+    chain = ChainGeometry(N=12, k1d=kernel.k0, d=0.35)
+    check_mirror_sectors(12, build_two_hamiltonian(chain, kernel))
 
 
 def test_dense_mirror_rejects_asymmetric_input():
@@ -232,9 +245,11 @@ def test_program_runs_without_scipy():
     assert out.strip() == "[]"
 
 
-def test_dense_cap_enforced():
+def test_dense_cap_enforced(monkeypatch):
+    monkeypatch.setattr(eig, "DENSE_CAP", 10)
+    eig_dense_all(np.eye(10, dtype=complex))
     with pytest.raises(ValueError):
-        eig_dense_all(np.eye(11, dtype=complex), cap=10)
+        eig_dense_all(np.eye(11, dtype=complex))
     with pytest.raises(ValueError):
         eig_dense_all(np.ones((3, 4), dtype=complex))
 
@@ -261,9 +276,9 @@ def test_target_matches_dense(residuals):
     solve = _make_shift_solver(analysis.fermionic_basis(chain), sigma)
     if residuals == "fast-matvec":
         op = TwoExcitationWaveguideOp(chain)
-        spec = eig_target(op, op.dim, cfg, solve)
+        spec = eig_target(op, cfg, solve)
     else:
-        spec = eig_target(H2, H2.shape[0], cfg, solve)
+        spec = eig_target(H2, cfg, solve)
     full = eig_dense_all(H2)
     got = spec.eigenvalues
     for w in nearest_dense(full, sigma, 6):
@@ -398,7 +413,7 @@ def test_target_restart_split_at_tied_ritz_moduli(count, m):
     assert abs(moduli[p - 1] - moduli[p]) <= 1e-14 * moduli[p]
 
     cfg = SolverConfig(count=count, max_subspace=m)
-    spec = eig_target(np.diag(sigma + d), 2 * n, cfg, solve, v0=v0)
+    spec = eig_target(np.diag(sigma + d), cfg, solve, v0=v0)
     assert spec.meta["restarts"] > 0
     dist = np.sort(np.abs(spec.eigenvalues - sigma))
     assert np.allclose(dist, np.sort(np.abs(d))[:count], rtol=0, atol=cfg.tol)
@@ -463,11 +478,11 @@ def test_target_invariant_subspace_exit():
     solve.sigma = 0.0
     v0 = np.zeros(20, dtype=complex)
     v0[[0, 4, 9]] = 1.0
-    closed = eig_target(np.diag(d), 20, SolverConfig(count=4), solve, v0=v0)
+    closed = eig_target(np.diag(d), SolverConfig(count=4), solve, v0=v0)
     assert closed.meta["invariant"] is True
     assert np.sort(closed.eigenvalues.real) == pytest.approx([1.0, 5.0, 10.0])
     assert all(p.residual <= 1e-10 for p in closed.pairs)
-    converged = eig_target(np.diag(d), 20, SolverConfig(count=2), solve, v0=v0)
+    converged = eig_target(np.diag(d), SolverConfig(count=2), solve, v0=v0)
     assert set(closed.meta) == set(converged.meta) | {"invariant"}
     assert np.sort(converged.eigenvalues.real) == pytest.approx([1.0, 5.0])
 

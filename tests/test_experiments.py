@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dimerchain import eig
 from dimerchain.experiments import cli, runner
 from dimerchain.experiments.config import (
     ConfigError,
@@ -168,6 +169,22 @@ def test_domain_limits_accepted():
     parse_config({"experiment": "spectrum", "N": [80],
                   "solver": {"fallback": True}})
     parse_config({"experiment": "map-check", "M": [1]})
+
+
+def test_dense_cap_checked_at_parse():
+    # each run's largest dense eigenproblem, refused one past eig.DENSE_CAP
+    # before any matrix is built: the missing-site chain (N - 1), and
+    # map-check's relative model (N - 1) and defect relative model (2M)
+    cap = eig.DENSE_CAP
+    for exp, extra in (("defect", {}), ("freespace", {"kernel": "transverse"}),
+                       ("map-check", {})):
+        parse_config({"experiment": exp, "N": [10, cap + 1], **extra})
+        with pytest.raises(ConfigError, match=f"N={cap + 2} .* dimension "
+                                              f"{cap + 1}, above the dense cap"):
+            parse_config({"experiment": exp, "N": [cap + 2, 10], **extra})
+    parse_config({"experiment": "map-check", "M": [1, cap // 2]})
+    with pytest.raises(ConfigError, match=f"M={cap // 2 + 1} .* dense cap"):
+        parse_config({"experiment": "map-check", "M": [cap // 2 + 1]})
 
 
 def test_kd_below_half_pi_checked_at_parse():

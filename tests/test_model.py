@@ -268,19 +268,18 @@ def test_eigenvalues_in_lower_half_plane(builder, args):
 def test_fast_matvec_equals_dense(N, kd_pi):
     chain = ChainGeometry.from_kd(N, kd_pi * np.pi)
     basis = TwoExcitationBasis(N)
-    H2 = build_two_hamiltonian(chain, basis=basis)
+    H2 = build_two_hamiltonian(chain)
     psi = RNG.standard_normal(basis.dim) + 1j * RNG.standard_normal(basis.dim)
     psi /= np.linalg.norm(psi)
     ref = H2 @ psi
-    out = TwoExcitationWaveguideOp(chain, basis).matvec(psi)
+    out = TwoExcitationWaveguideOp(chain).matvec(psi)
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_fast_matvec_n2_is_minus_igamma():
     chain = ChainGeometry.from_kd(2, 0.41 * np.pi, gamma1d=1.0)
-    basis = TwoExcitationBasis(2)
     psi = np.array([0.3 + 0.4j])
-    assert np.allclose(TwoExcitationWaveguideOp(chain, basis).matvec(psi),
+    assert np.allclose(TwoExcitationWaveguideOp(chain).matvec(psi),
                        -1j * psi)
 
 
@@ -290,20 +289,19 @@ def test_fast_matvec_rejects_other_kernels():
     chain = ChainGeometry(N=5, k1d=2 * np.pi, d=0.35)
     basis = TwoExcitationBasis(5)
     with pytest.raises(TypeError):
-        TwoExcitationWaveguideOp(chain, basis, kernel=FreeSpace3D(lambda0=1.0))
+        TwoExcitationWaveguideOp(chain, kernel=FreeSpace3D(lambda0=1.0))
     psi = RNG.standard_normal(basis.dim) + 0j
-    out = TwoExcitationWaveguideOp(chain, basis).matvec(psi)
-    assert np.allclose(out, build_two_hamiltonian(chain, basis=basis) @ psi)
-    free = build_two_hamiltonian(chain, kernel=FreeSpace3D(lambda0=1.0),
-                                 basis=basis)
+    out = TwoExcitationWaveguideOp(chain).matvec(psi)
+    assert np.allclose(out, build_two_hamiltonian(chain) @ psi)
+    free = build_two_hamiltonian(chain, kernel=FreeSpace3D(lambda0=1.0))
     assert not np.allclose(out, free @ psi)
 
 
 def test_operator_diagonal_and_matvec():
     chain = ChainGeometry.from_kd(9, 0.23 * np.pi)
     basis = TwoExcitationBasis(9)
-    op = TwoExcitationWaveguideOp(chain, basis)
-    H2 = build_two_hamiltonian(chain, basis=basis)
+    op = TwoExcitationWaveguideOp(chain)
+    H2 = build_two_hamiltonian(chain)
     assert np.allclose(op.diagonal(), np.diag(H2))
     psi = RNG.standard_normal(basis.dim) + 1j * RNG.standard_normal(basis.dim)
     assert np.allclose(op.matvec(psi), H2 @ psi)
@@ -406,7 +404,7 @@ def test_missing_site_invalid():
 def test_k_delta_vector_support():
     chain = ChainGeometry.from_kd(9, 0.2 * np.pi)
     basis = TwoExcitationBasis(9)
-    psi = k_delta_vector(chain, 0.4, 3, basis=basis)
+    psi = k_delta_vector(chain, 0.4, 3)
     m, n = basis.pair_m, basis.pair_n
     on = psi != 0
     assert np.all((n - m)[on] == 3)
@@ -417,7 +415,7 @@ def test_k_delta_vector_support():
 def test_tails_closed_form_oracle(Kd, delta):
     chain = ChainGeometry.from_kd(40, 0.2 * np.pi)
     basis = TwoExcitationBasis(40)
-    res = tails_residual(chain, Kd, delta, basis=basis)
+    res = tails_residual(chain, Kd, delta)
     want = tails_closed_form(chain, Kd, delta, basis)
     assert np.max(np.abs(res - want)) < 1e-12
 
@@ -426,7 +424,7 @@ def test_tails_support_confined_to_ends():
     chain = ChainGeometry.from_kd(30, 0.25 * np.pi)
     basis = TwoExcitationBasis(30)
     delta = 2
-    res = tails_residual(chain, 0.3, delta, basis=basis)
+    res = tails_residual(chain, 0.3, delta)
     z = np.arange(30, dtype=float)
     m, n = basis.pair_m, basis.pair_n
     near_end = (z[m] < delta) | (z[n] < delta) | (z[m] > 29 - delta) | (z[n] > 29 - delta)
@@ -438,8 +436,7 @@ def test_tails_relative_weight_vanishes():
     norms = []
     for N in (20, 40, 80):
         chain = ChainGeometry.from_kd(N, 0.2 * np.pi)
-        basis = TwoExcitationBasis(N)
-        res = np.linalg.norm(tails_residual(chain, 0.0, 1, basis=basis))
-        amp = np.linalg.norm(k_delta_vector(chain, 0.0, 1, basis=basis))
+        res = np.linalg.norm(tails_residual(chain, 0.0, 1))
+        amp = np.linalg.norm(k_delta_vector(chain, 0.0, 1))
         norms.append(res / amp)
     assert norms[0] > norms[1] > norms[2]
