@@ -1,8 +1,11 @@
 """Eigensolvers for the non-Hermitian effective Hamiltonians.
 
 Dense full decomposition (LAPACK zgeev) of matrices up to DENSE_CAP
-rows, and a shift-invert Krylov-Schur Arnoldi engine that targets the
-dimer asymptotic eigenvalues of the hard-core two-excitation sector.
+rows, the one cap on every dense eigenproblem of a run (a full
+two-excitation spectrum up to N = 110), and a shift-invert Krylov-Schur
+Arnoldi engine that targets the dimer asymptotic eigenvalues of the
+hard-core two-excitation sector.  Its settings are a SolverConfig, the
+same type as a run config's `solver` section.
 
 A clean chain is invariant under the site reflection j -> N-1-j, and so
 is its pair sector under the pair mirror (m, n) -> (N-1-n, N-1-m).  The
@@ -89,17 +92,27 @@ class Spectrum:
         return np.array([p.decay_rate for p in self.pairs])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    count: int = 6
+    """Settings of eig_target, and the `solver` section of a run config.
+
+    Each range error names its field first, so that the config parser
+    can report it as `solver.<message>`."""
+
+    count: int = 8
     max_subspace: int = 0  # 0 means 4*count (min 12)
     tol: float = 1e-10
     max_restarts: int = 200
-    seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.count < 1:
+            raise ValueError("count must be at least 1")
+        if self.max_subspace < 0:
+            raise ValueError("max_subspace must be nonnegative")
+        if self.max_restarts < 0:
+            raise ValueError("max_restarts must be nonnegative")
         if self.max_subspace and self.count > self.max_subspace:
             raise ValueError("count must not exceed max_subspace")
 
@@ -289,15 +302,15 @@ def _arnoldi_extend(T, V, S, k, m):
     return m
 
 
-def eig_target(apply_H, config, solve, v0=None):
-    """`count` eigenpairs of H nearest the shift of `solve`.
+def eig_target(apply_H, config, solve, v0=None, seed=0):
+    """`config.count` eigenpairs of H nearest the shift of `solve`.
 
     apply_H is a dense matrix or an operator with .matvec and .dim (such
     as model.TwoExcitationWaveguideOp), used for the true residuals
     ||H v - lambda v||; the dimension is its shape[0] or .dim.  solve
     applies (H - solve.sigma)^{-1}, as made by _make_shift_solver; one
-    solver serves every call at the same shift.  v0 overrides the seeded
-    random starting vector (warm starts across a sweep).
+    solver serves every call at the same shift.  The starting vector is
+    random from `seed`, unless v0 gives it (warm starts across a sweep).
     """
     t0 = time.perf_counter()
     sigma = solve.sigma
@@ -313,7 +326,7 @@ def eig_target(apply_H, config, solve, v0=None):
     count = min(config.count, max(1, m - 1))
 
     if v0 is None:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         v0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     else:
         v0 = np.asarray(v0, dtype=complex).reshape(-1)

@@ -4,7 +4,10 @@ Unknown keys are rejected at every nesting level so that typos fail
 loudly instead of silently running a default.  kd values are given as
 multiples of pi (key kd_over_pi), avoiding irrational literals in
 config files.  N accepts either an explicit list or an inclusive range
-object {"start", "stop", "step"}.
+object {"start", "stop", "step"}.  The `solver` section is an
+eig.SolverConfig, whose own checks report here as config errors, and
+every dense eigenproblem a run needs is checked against the one cap
+eig.DENSE_CAP before any work starts.
 """
 
 import hashlib
@@ -30,9 +33,6 @@ EXPERIMENTS = (
 # full spectra are always dense and every other search is targeted
 SOLVER_MODES = ("dense", "si-direct", "si-matfree")
 
-# full dense two-excitation spectra (pair dimension N(N-1)/2) up to this N
-DENSE_TWOEXC_CAP = 70
-
 # experiments that use the dimer asymptotics or the defect secular
 # equation, both defined for kd < pi/2 (map-check only when N is given)
 _HALF_PI_EXPERIMENTS = ("spectrum", "phase-diagram", "scaling", "defect",
@@ -41,15 +41,6 @@ _HALF_PI_EXPERIMENTS = ("spectrum", "phase-diagram", "scaling", "defect",
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    tol: float = 1e-10
-    count: int = 8
-    max_restarts: int = 200
-    max_subspace: int = 0
-    fallback: bool = False  # spectrum past the dense cap: targeted partial
 
 
 @dataclass(frozen=True)
@@ -64,7 +55,7 @@ class RunConfig:
     N: tuple = ()
     kd_over_pi: tuple = (0.25,)
     gamma: float = 1.0
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    solver: eig.SolverConfig = field(default_factory=eig.SolverConfig)
     disorder: DisorderSettings = field(default_factory=DisorderSettings)
     defect_sites: tuple = ()  # 0-based; empty means central site N//2
     kernel: str = "waveguide"  # waveguide | transverse | parallel
@@ -96,7 +87,7 @@ class RunConfig:
 
 _TOP_KEYS = {f.name for f in fields(RunConfig)}
 # plus the legacy solver.mode, accepted and validated but not stored
-_SOLVER_KEYS = {f.name for f in fields(SolverSettings)} | {"mode"}
+_SOLVER_KEYS = {f.name for f in fields(eig.SolverConfig)} | {"mode"}
 _DISORDER_KEYS = {f.name for f in fields(DisorderSettings)}
 _RANGE_KEYS = {"start", "stop", "step"}
 
@@ -172,19 +163,15 @@ def parse_config(doc, experiment=None):
     _reject_unknown(solver_doc, _SOLVER_KEYS, "solver")
     if solver_doc.get("mode", "si-direct") not in SOLVER_MODES:
         raise ConfigError(f"solver.mode must be one of {SOLVER_MODES}")
-    solver = SolverSettings(
-        tol=_as_float(solver_doc.get("tol", 1e-10), "solver.tol"),
-        count=_as_int(solver_doc.get("count", 8), "solver.count"),
-        max_restarts=_as_int(solver_doc.get("max_restarts", 200),
-                             "solver.max_restarts"),
-        max_subspace=_as_int(solver_doc.get("max_subspace", 0),
-                             "solver.max_subspace"),
-        fallback=_as_bool(solver_doc.get("fallback", False), "solver.fallback"),
-    )
-    if solver.tol <= 0:
-        raise ConfigError("solver.tol must be positive")
-    if solver.count < 1:
-        raise ConfigError("solver.count must be at least 1")
+    settings = {}
+    for f in fields(eig.SolverConfig):
+        if f.name in solver_doc:
+            as_type = _as_float if f.type is float else _as_int
+            settings[f.name] = as_type(solver_doc[f.name], f"solver.{f.name}")
+    try:
+        solver = eig.SolverConfig(**settings)
+    except ValueError as e:
+        raise ConfigError(f"solver.{e}") from e
 
     dis_doc = doc.get("disorder", {})
     if not isinstance(dis_doc, dict):
@@ -242,18 +229,19 @@ def parse_config(doc, experiment=None):
     for kd in cfg.kd_values:
         if not 0.0 < kd < np.pi:
             raise ConfigError("kd_over_pi values must lie in (0, 1)")
+    # the relative models take a center-of-mass wavenumber in [0, 2 pi)
+    for Kd in cfg.Kd_values:
+        if not 0.0 <= Kd < 2.0 * np.pi:
+            raise ConfigError("Kd_over_pi values must lie in [0, 2)")
+    for d in cfg.d_over_lambda0:
+        if not d > 0:
+            raise ConfigError("d_over_lambda0 values must be positive")
     if exp in _HALF_PI_EXPERIMENTS or (exp == "map-check" and cfg.N):
         if max(cfg.kd_over_pi) >= 0.5:
             raise ConfigError(f"kd_over_pi values must lie in (0, 0.5) for "
                               f"{exp}: its asymptotics need kd < pi/2")
     if min(cfg.N, default=2) < 2:
         raise ConfigError("N values must be at least 2")
-    if (exp == "spectrum" and max(cfg.N, default=0) > DENSE_TWOEXC_CAP
-            and not solver.fallback):
-        raise ConfigError(
-            f"full two-excitation spectrum cap exceeded (N={max(cfg.N)} > "
-            f"{DENSE_TWOEXC_CAP}); enable solver.fallback for a targeted "
-            "partial spectrum")
     # defect sites (default N//2): the secular equation needs a neighbour
     # on both sides; a free-space chain takes any site
     if exp in ("defect", "freespace"):
@@ -265,10 +253,12 @@ def parse_config(doc, experiment=None):
                                       f"{lo}..{N - hi} for {exp} at N={N}")
     if min(cfg.M, default=1) < 1:
         raise ConfigError("M values must be at least 1")
-    # dense eigenproblems: the missing-site chain (N - 1), and map-check's
-    # defect relative model (2M) and profile relative model (M = N - 1)
-    dense = {N - 1: f"N={N}" for N in cfg.N
-             if exp in ("defect", "freespace", "map-check")}
+    # dense eigenproblems: the pair sector of spectrum (N(N-1)/2), the
+    # missing-site chain (N - 1), and map-check's defect relative model
+    # (2M) and profile relative model (M = N - 1)
+    dense = {N * (N - 1) // 2: f"N={N}" for N in cfg.N if exp == "spectrum"}
+    dense.update({N - 1: f"N={N}" for N in cfg.N
+                  if exp in ("defect", "freespace", "map-check")})
     dense.update({2 * M: f"M={M}" for M in cfg.M if exp == "map-check"})
     dim = max(dense, default=0)
     if dim > eig.DENSE_CAP:

@@ -2,8 +2,8 @@
 
 Every command is one sweep: a list of tasks, a module-level point
 function point(task, cfg) -> (records, table rows, vectors, summary),
-and one writer.  _sweep runs the point function through _pmap (in
-cfg.jobs worker processes) and gathers the results in task order, so
+and one writer.  _sweep runs the point function through _pmap (in up
+to cfg.jobs worker processes) and gathers the results in task order, so
 outputs do not depend on jobs.  The command derives its metadata and
 plot from the gathered rows and summaries; _finish writes a SweepRecord
 CSV (the contract), a sorted-key JSON metadata sidecar, an optional
@@ -12,16 +12,14 @@ Reruns with the same config and seed are byte-identical except for
 wall-time columns.  A task is one grid point, except in `scaling`,
 whose warm starts along N make a whole kd series one task.
 
-Full two-excitation spectra (`spectrum`) are dense zgeev up to N = 70,
-one per mirror-parity sector of the clean chain.  Past that cap, which
-only solver.fallback allows, they are the targeted partial spectrum
-around both dimer eigenvalues, flagged in metadata.  Every other
-two-excitation search is targeted: Krylov-Schur on the exact structured
-shift-invert of eig._make_shift_solver, with O(N^2) memory and no cap
-on N.  Each chain's H1 is diagonalized once, by analysis.fermionic_basis,
+Full two-excitation spectra (`spectrum`) are dense zgeev, one per
+mirror-parity sector of the clean chain, up to eig.DENSE_CAP pair states
+(N = 110).  Every other two-excitation search is targeted: Krylov-Schur
+on the exact structured shift-invert of eig._make_shift_solver, with
+O(N^2) memory and no cap on N.  Each chain's H1 is diagonalized once, by analysis.fermionic_basis,
 and every one-excitation quantity of the chain reads that core.
 """
-import functools
+import dataclasses
 import os
 import platform
 import time
@@ -42,25 +40,28 @@ from ..model import (
     build_single_hamiltonian,
     build_two_hamiltonian,
 )
-from .config import DENSE_TWOEXC_CAP, ConfigError
+from .config import ConfigError
 from .records import make_record, write_meta, write_records, write_table, write_vectors
 from .svg import heatmap, line_plot
 
 
-def _pmap(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ProcessPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
+def _pmap(fn, items, cfg):
+    """[fn(item, cfg) for item in items], in cfg.jobs worker processes but
+    never more than there are items: a pool starts all its workers at
+    once."""
+    workers = min(cfg.jobs, len(items))
+    if workers <= 1:
+        return [fn(it, cfg) for it in items]
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, items, [cfg] * len(items)))
 
 
 def _sweep(cfg, point, tasks):
-    """point(task, cfg) over the tasks, in cfg.jobs processes; returns the
-    concatenated records, table rows and vectors, and the list of
-    per-task summaries, all in task order."""
+    """point(task, cfg) over the tasks, in up to cfg.jobs processes;
+    returns the concatenated records, table rows and vectors, and the list
+    of per-task summaries, all in task order."""
     records, rows, vectors, summaries = [], [], {}, []
-    for rec, row, vec, summary in _pmap(functools.partial(point, cfg=cfg),
-                                        tasks, cfg.jobs):
+    for rec, row, vec, summary in _pmap(point, tasks, cfg):
         records += rec
         rows += row
         vectors.update(vec)
@@ -96,16 +97,10 @@ def _finish(cfg, records, meta, plot, table=None, vectors=None):
     return paths
 
 
-def _targeted_two_exc(op, solve, cfg, count=None, v0=None):
-    """Eigenpairs of the two-excitation sector nearest solve.sigma."""
-    sc = eig.SolverConfig(
-        count=count if count is not None else cfg.solver.count,
-        tol=cfg.solver.tol,
-        max_restarts=cfg.solver.max_restarts,
-        max_subspace=cfg.solver.max_subspace,
-        seed=cfg.seed,
-    )
-    return eig.eig_target(op, sc, solve, v0=v0)
+def _targeted_two_exc(op, solve, cfg, count, v0=None):
+    """`count` eigenpairs of the two-excitation sector nearest solve.sigma."""
+    return eig.eig_target(op, dataclasses.replace(cfg.solver, count=count),
+                          solve, v0=v0, seed=cfg.seed)
 
 
 # position disorder broadens the K wavepacket of a dimer without touching
@@ -120,8 +115,10 @@ def find_dimer(chain, dimer_type, cfg, ferm=None, v0=None, thresholds=None):
 
     Classifies the eigenpairs returned by a targeted solve; escalates the
     count once, on the same shift-invert set-up, if the first batch
-    contains no state with the wanted label.  Returns (pair, state_class,
-    spectrum) or (None, None, last spectrum) when the label is absent.
+    contains no state with the wanted label: to 4 * solver.count, or to
+    solver.max_subspace when that is set and smaller.  Returns (pair,
+    state_class, spectrum) or (None, None, last spectrum) when the label
+    is absent.
     """
     label = analysis.DIMER_I if dimer_type == "I" else analysis.DIMER_II
     th = theory.asymptotic_dimer(chain.kd, dimer_type, chain.gamma1d)
@@ -130,8 +127,10 @@ def find_dimer(chain, dimer_type, cfg, ferm=None, v0=None, thresholds=None):
     op = TwoExcitationWaveguideOp(chain)
     solve = eig._make_shift_solver(ferm, th.omega)
     spec = None
-    for count in (cfg.solver.count, 4 * cfg.solver.count):
-        spec = _targeted_two_exc(op, solve, cfg, count=count, v0=v0)
+    first = cfg.solver.count
+    wider = min(4 * first, cfg.solver.max_subspace or 4 * first)
+    for count in sorted({first, wider}):
+        spec = _targeted_two_exc(op, solve, cfg, count, v0=v0)
         classes = analysis.classify_states(spec.pairs, chain, ferm=ferm,
                                            thresholds=thresholds)
         try:
@@ -196,44 +195,24 @@ def disorder_offsets(seed, sample_index, N, delta, d=1.0):
 def _spectrum_point(task, cfg):
     N, kd_over_pi, kd = task
     chain = ChainGeometry.from_kd(N, kd, gamma1d=cfg.gamma)
-    # full spectra are dense; past the cap (parse_config allows it only
-    # with solver.fallback) the run degrades to a targeted partial
-    # spectrum around both dimer branches (flagged in metadata)
-    partial = N > DENSE_TWOEXC_CAP
     ferm = analysis.fermionic_basis(chain)
     t0 = time.perf_counter()
-    if not partial:
-        H2 = build_two_hamiltonian(chain)
-        spec = eig.eig_dense_all(H2, mirror=TwoExcitationBasis(N).mirror())
-        pairs = spec.pairs
-        sectors = spec.meta["mirror_sectors"]
-        trace_gap = abs(np.sum(spec.eigenvalues) - np.trace(H2)) / max(
-            abs(np.trace(H2)), 1e-300)
-    else:
-        op = TwoExcitationWaveguideOp(chain)
-        seen, pairs = set(), []
-        for t in ("I", "II"):
-            om = theory.asymptotic_dimer(kd, t, cfg.gamma).omega
-            sp = _targeted_two_exc(op, eig._make_shift_solver(ferm, om), cfg)
-            for p in sp.pairs:
-                key = (round(p.lam.real, 9), round(p.lam.imag, 9))
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append(p)
-        trace_gap = sectors = None
+    H2 = build_two_hamiltonian(chain)
+    spec = eig.eig_dense_all(H2, mirror=TwoExcitationBasis(N).mirror())
+    pairs = spec.pairs
+    trace_gap = abs(np.sum(spec.eigenvalues) - np.trace(H2)) / max(
+        abs(np.trace(H2)), 1e-300)
     wall = time.perf_counter() - t0
     classes = analysis.classify_states(pairs, chain, ferm=ferm)
-    mode_used = "dense" if not partial else eig.SOLVER_MODE
     records = [make_record("spectrum", N, kd, "two-exc", c.label, p.lam,
-                           mode_used, p.residual, wall, cfg.seed)
+                           "dense", p.residual, wall, cfg.seed)
                for p, c in zip(pairs, classes)]
     key = f"N={N},kd_over_pi={kd_over_pi}"
     summary = {
         "branches": analysis.branch_summary(classes, ferm.values, cfg.gamma),
-        "partial": partial,
         "trace_relative_gap": trace_gap,
         "states": len(pairs),
-        "mirror_sectors": sectors,
+        "mirror_sectors": spec.meta["mirror_sectors"],
     }
     vectors = {}
     if cfg.dump_vectors:
@@ -256,8 +235,7 @@ def _spectrum_point(task, cfg):
 
 def cmd_spectrum(cfg):
     """Full two-excitation spectrum per (N, kd), classified, with a
-    branch summary; falls back to a targeted partial spectrum past the
-    dense cap when solver.fallback is set."""
+    branch summary."""
     tasks = [(N, kd_over_pi, kd) for N in cfg.N
              for kd_over_pi, kd in zip(cfg.kd_over_pi, cfg.kd_values)]
     records, _, vectors, points = _sweep(cfg, _spectrum_point, tasks)

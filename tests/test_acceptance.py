@@ -31,8 +31,7 @@ import pytest
 from conftest import ACCEPTANCE_LINES
 from dimerchain import analysis, eig, theory
 from dimerchain.experiments import runner
-from dimerchain.experiments.config import (DisorderSettings, RunConfig,
-                                           SolverSettings)
+from dimerchain.experiments.config import DisorderSettings, RunConfig
 from dimerchain.model import (
     ChainGeometry,
     TwoExcitationBasis,
@@ -63,7 +62,7 @@ def dimer_states_n100():
     """Targeted DimerI / DimerII eigenpairs at N = 100, kd/pi in {0.2, 0.25},
     with their K-Delta decompositions (shared by A3 and A4)."""
     cfg = RunConfig(experiment="spectrum", seed=0,
-                    solver=SolverSettings())
+                    solver=eig.SolverConfig())
     N = 100
     out = {}
     for kd_over_pi in (0.2, 0.25):
@@ -85,7 +84,7 @@ def scaling_run(tmp_path_factory):
     """Full scaling sweep at kd = 0.1676 pi, N = 50..150 step 10 (A5)."""
     cfg = RunConfig(experiment="scaling", N=tuple(range(50, 151, 10)),
                     kd_over_pi=(0.1676,), seed=7,
-                    solver=SolverSettings(),
+                    solver=eig.SolverConfig(),
                     out=str(tmp_path_factory.mktemp("scaling")))
     t0 = time.perf_counter()
     paths = runner.cmd_scaling(cfg)
@@ -100,7 +99,7 @@ def dimer_ii_rates_consecutive():
     warm-starting each size from the previous eigenvector (A7)."""
     kd = 0.25 * np.pi
     cfg = RunConfig(experiment="scaling", seed=0,
-                    solver=SolverSettings())
+                    solver=eig.SolverConfig())
     sizes = np.arange(60, 121)
     rates, prev = [], None
     for N in sizes:
@@ -142,7 +141,7 @@ def test_a2_dimer_i_energy_convergence():
         kd = 0.2 * np.pi
         target = theory.asymptotic_dimer(kd, "I").omega  # 2 cot(kd)
         cfg = RunConfig(experiment="scaling", seed=0,
-                        solver=SolverSettings())
+                        solver=eig.SolverConfig())
         gaps, prev, wall = [], None, 0.0
         for N in (60, 90, 120):
             chain = ChainGeometry.from_kd(N, kd)
@@ -221,7 +220,7 @@ def test_a5_scaling_exponents(scaling_run):
         # finite-size transient is gone at these sizes
         kd = 0.25 * np.pi
         cfg = RunConfig(experiment="scaling", seed=0,
-                        solver=SolverSettings(count=32))
+                        solver=eig.SolverConfig(count=32))
         sizes, rates, prev = list(range(50, 151, 10)), [], None
         t0 = time.perf_counter()
         for N in sizes:
@@ -320,7 +319,7 @@ def test_a9_disorder_robustness(tmp_path):
         cfg = RunConfig(experiment="disorder", N=(60,), kd_over_pi=kds,
                         seed=202608,
                         disorder=DisorderSettings(delta=0.01, samples=10),
-                        solver=SolverSettings(),
+                        solver=eig.SolverConfig(),
                         out=str(tmp_path))
         paths = runner.cmd_disorder(cfg)
         with open(paths["table"], newline="") as fh:

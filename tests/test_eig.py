@@ -47,11 +47,11 @@ def two_exc(N, kd_pi):
     return chain, build_two_hamiltonian(chain)
 
 
-def targeted(chain, sigma, cfg, v0=None):
+def targeted(chain, sigma, cfg, v0=None, seed=0):
     """Structured shift-invert solve of the chain's two-excitation sector."""
     op = TwoExcitationWaveguideOp(chain)
     solve = _make_shift_solver(analysis.fermionic_basis(chain), sigma)
-    return eig_target(op, cfg, solve, v0=v0)
+    return eig_target(op, cfg, solve, v0=v0, seed=seed)
 
 
 def nearest_dense(full, sigma, count):
@@ -218,10 +218,10 @@ def test_one_h1_eigendecomposition_per_chain(monkeypatch):
     for sample in (-1, 0):
         assert h1_calls(lambda: runner._disorder_point(
             (36, 0.1676, kd, sample), cfg), 36) == [1]
-    cfg = parse_config({"experiment": "spectrum", "N": [72],
-                        "kd_over_pi": [0.2], "solver": {"fallback": True}})
-    assert h1_calls(lambda: runner._spectrum_point((72, 0.2, 0.2 * np.pi), cfg),
-                    72) == [1]
+    cfg = parse_config({"experiment": "spectrum", "N": [12],
+                        "kd_over_pi": [0.2]})
+    assert h1_calls(lambda: runner._spectrum_point((12, 0.2, 0.2 * np.pi), cfg),
+                    12) == [1]
 
 
 def test_program_runs_without_scipy():
@@ -260,7 +260,7 @@ def test_dense_cap_enforced(monkeypatch):
 def test_target_dim_one():
     # N = 2 has the single pair state (0, 1), with eigenvalue -i*Gamma
     chain = ChainGeometry.from_kd(2, 0.25 * np.pi)
-    spec = targeted(chain, 0.0, SolverConfig())
+    spec = targeted(chain, 0.0, SolverConfig(count=6))
     assert len(spec) == 1 and spec[0].lam == pytest.approx(-1j, abs=1e-15)
 
 
@@ -433,10 +433,10 @@ def test_target_shift_invariance():
 
 def test_target_deterministic_rerun():
     chain = ChainGeometry.from_kd(24, 0.2 * np.pi)
-    cfg = SolverConfig(count=4, seed=11)
+    cfg = SolverConfig(count=4)
     sigma = 2.0 / np.tan(0.2 * np.pi)
-    a = targeted(chain, sigma, cfg)
-    b = targeted(chain, sigma, cfg)
+    a = targeted(chain, sigma, cfg, seed=11)
+    b = targeted(chain, sigma, cfg, seed=11)
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
     for pa, pb in zip(a.pairs, b.pairs):
         assert pa.vector.tobytes() == pb.vector.tobytes()
@@ -454,9 +454,9 @@ def test_target_v0_validation():
     chain = ChainGeometry.from_kd(10, 0.25 * np.pi)
     dim = TwoExcitationBasis(10).dim
     with pytest.raises(ValueError):
-        targeted(chain, 0.0, SolverConfig(), v0=np.zeros(dim))
+        targeted(chain, 0.0, SolverConfig(count=6), v0=np.zeros(dim))
     with pytest.raises(ValueError):
-        targeted(chain, 0.0, SolverConfig(), v0=np.ones(3))
+        targeted(chain, 0.0, SolverConfig(count=6), v0=np.ones(3))
 
 
 def test_target_restart_limit():

@@ -113,7 +113,7 @@ def test_seed_mandatory_for_disorder_sampling():
     ({"seed": 2**64}, "seed"),
     ({"kd_over_pi": 1.5}, "kd_over_pi"),
     ({"kd_over_pi": []}, "kd_over_pi"),
-    ({"solver": {"fallback": "false"}}, "solver.fallback"),
+    ({"solver": {"fallback": False}}, "unknown key.* in solver: fallback"),
     ({"dump_vectors": "no"}, "dump_vectors"),
     ({"dump_vectors": 1}, "dump_vectors"),
     ({"kd_over_pi": 0.5}, "kd_over_pi"),
@@ -136,6 +136,13 @@ def test_seed_mandatory_for_disorder_sampling():
     ({"Kd_over_pi": ["1"]}, "Kd_over_pi"),
     ({"solver": {"tol": "1e-9"}}, "solver.tol"),
     ({"disorder": {"delta": "0.01"}}, "disorder.delta"),
+    ({"solver": {"count": 8, "max_subspace": 4}},
+     "solver.count must not exceed max_subspace"),
+    ({"solver": {"max_subspace": -3}}, "solver.max_subspace"),
+    ({"solver": {"max_restarts": -1}}, "solver.max_restarts"),
+    ({"Kd_over_pi": [0.0, 2.0]}, "Kd_over_pi"),
+    ({"Kd_over_pi": [-0.5]}, "Kd_over_pi"),
+    ({"d_over_lambda0": [0]}, "d_over_lambda0"),
 ])
 def test_field_validation(doc, msg):
     with pytest.raises(ConfigError, match=msg):
@@ -152,7 +159,7 @@ def test_field_validation(doc, msg):
     ("phase-diagram", {"N": [1, 8]}, "N values must be at least 2"),
     ("freespace", {"N": [1]}, "N values must be at least 2"),
     ("map-check", {"M": [0, 1]}, "M values must be at least 1"),
-    ("spectrum", {"N": [6, 80]}, "cap exceeded"),
+    ("spectrum", {"N": [6, 111]}, "N=111 .* dense cap"),
     ("freespace", {"N": [20]}, "free-space kernel"),  # default waveguide
 ])
 def test_domain_checked_at_parse(exp, doc, msg):
@@ -165,16 +172,15 @@ def test_domain_limits_accepted():
     parse_config({"experiment": "defect", "N": [20], "defect_sites": [1, 18]})
     parse_config({"experiment": "freespace", "N": [20], "kernel": "parallel",
                   "defect_sites": [0, 19]})
-    parse_config({"experiment": "spectrum", "N": [2, 70]})
-    parse_config({"experiment": "spectrum", "N": [80],
-                  "solver": {"fallback": True}})
+    parse_config({"experiment": "spectrum", "N": [2, 110]})
     parse_config({"experiment": "map-check", "M": [1]})
 
 
 def test_dense_cap_checked_at_parse():
     # each run's largest dense eigenproblem, refused one past eig.DENSE_CAP
-    # before any matrix is built: the missing-site chain (N - 1), and
-    # map-check's relative model (N - 1) and defect relative model (2M)
+    # before any matrix is built: the pair sector of spectrum (N(N-1)/2),
+    # the missing-site chain (N - 1), and map-check's relative model
+    # (N - 1) and defect relative model (2M)
     cap = eig.DENSE_CAP
     for exp, extra in (("defect", {}), ("freespace", {"kernel": "transverse"}),
                        ("map-check", {})):
@@ -182,6 +188,10 @@ def test_dense_cap_checked_at_parse():
         with pytest.raises(ConfigError, match=f"N={cap + 2} .* dimension "
                                               f"{cap + 1}, above the dense cap"):
             parse_config({"experiment": exp, "N": [cap + 2, 10], **extra})
+    parse_config({"experiment": "spectrum", "N": [10, 110]})  # D = 5995
+    with pytest.raises(ConfigError, match="N=111 .* dimension 6105, above "
+                                          "the dense cap"):
+        parse_config({"experiment": "spectrum", "N": [111, 10]})
     parse_config({"experiment": "map-check", "M": [1, cap // 2]})
     with pytest.raises(ConfigError, match=f"M={cap // 2 + 1} .* dense cap"):
         parse_config({"experiment": "map-check", "M": [cap // 2 + 1]})
@@ -315,6 +325,43 @@ def test_find_dimer_allocates_no_pair_matrix():
         tracemalloc.stop()
     assert pair is not None
     assert peak < 64e6
+
+
+def test_find_dimer_escalation_within_max_subspace():
+    # N = 40, kd = 0.3 pi: one state near the DimerII line is not the
+    # dimer, so the count escalates, here to the max_subspace of 3
+    chain = ChainGeometry.from_kd(40, 0.3 * np.pi)
+    cfg = parse_config({"experiment": "scaling",
+                        "solver": {"count": 1, "max_subspace": 3}})
+    pair, cls, spec = runner.find_dimer(chain, "II", cfg)
+    assert cls.label == "DimerII" and len(spec) > 1  # the second batch
+    assert pair.residual <= cfg.solver.tol
+
+
+def test_pool_never_larger_than_the_task_list(monkeypatch):
+    # a pool starts all of its workers at once; this fake starts none
+    asked = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InlinePool)
+    cfg = RunConfig(experiment="spectrum", jobs=64)
+    assert runner._pmap(lambda x, c: (x, c.jobs), [1, 2, 3], cfg) == [
+        (1, 64), (2, 64), (3, 64)]
+    assert runner._pmap(lambda x, c: x, [5], cfg) == [5]
+    assert runner._pmap(lambda x, c: x, [], cfg) == []
+    assert asked == [3]
 
 
 def test_disorder_offsets_contract():
@@ -546,21 +593,9 @@ def test_cli_phase_diagram_end_to_end(tmp_path, capsys):
     assert len(grid) - 1 == 4  # 2 sizes x 2 wavenumbers
 
 
-def test_spectrum_partial_past_the_dense_cap(tmp_path, capsys):
-    path = write_cfg(tmp_path, {"experiment": "spectrum", "N": [71],
-                                "kd_over_pi": [0.2], "out": str(tmp_path / "r"),
-                                "solver": {"fallback": True, "count": 2}})
-    assert run_cli(["spectrum", "--config", path]) == 0
-    base = capsys.readouterr().out.strip()[:-len(".csv")]
-    meta = json.loads(open(base + ".meta.json", encoding="utf-8").read())
-    summary = meta["summaries"]["N=71,kd_over_pi=0.2"]
-    assert summary["partial"] is True and summary["mirror_sectors"] is None
-    assert 2 <= summary["states"] <= 4
-
-
 def test_spectrum_needs_dense_or_fallback(tmp_path, capsys):
-    # N beyond the dense cap without fallback is a config error, not a hang
-    path = write_cfg(tmp_path, {"experiment": "spectrum", "N": [80],
+    # a spectrum past the dense cap is a config error, not a hang
+    path = write_cfg(tmp_path, {"experiment": "spectrum", "N": [111],
                                 "out": str(tmp_path / "r")})
     assert run_cli(["spectrum", "--config", path]) == 2
-    assert "cap" in capsys.readouterr().err
+    assert "dense cap" in capsys.readouterr().err
